@@ -135,7 +135,7 @@ StatusOr<const float*> EmbeddingTable::Get(const std::string& key) const {
 }
 
 std::vector<const float*> EmbeddingTable::MultiGet(
-    const std::vector<std::string>& keys) const {
+    const std::vector<std::string>& keys, Status* fault) const {
   if (tier_ != nullptr) {
     std::vector<int64_t> rows(keys.size(), -1);
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -143,9 +143,11 @@ std::vector<const float*> EmbeddingTable::MultiGet(
       if (it != index_.end()) rows[i] = static_cast<int64_t>(it->second);
     }
     std::vector<const float*> out;
-    tier_->MultiGetRows(rows, &out);
+    Status s = tier_->MultiGetRows(rows, &out);
+    if (fault != nullptr) *fault = std::move(s);
     return out;
   }
+  if (fault != nullptr) *fault = Status::OK();
   std::vector<const float*> out(keys.size(), nullptr);
   for (size_t i = 0; i < keys.size(); ++i) {
     auto it = index_.find(keys[i]);

@@ -52,7 +52,7 @@ struct EmbeddingTableMetadata {
 /// of exact float rows — the MLKV-style out-of-core form for working sets
 /// that outgrow RAM, paper §3.1.2). Get/MultiGet/GetVector behave
 /// identically in both forms except that a tiered table serves
-/// *dequantized* values for rows whose block was ever demoted; pointers
+/// *dequantized* values for rows outside its hot blocks; pointers
 /// returned by a tiered table stay valid until the calling thread's next
 /// Get/MultiGet on any tiered table (copy them before the next lookup —
 /// every in-tree caller copies immediately). row()/raw() remain
@@ -104,10 +104,12 @@ class EmbeddingTable {
   /// Batched lookup: entry i points at `keys[i]`'s vector, or is null for
   /// a missing key. One output allocation for the whole batch — the unit
   /// embedding-feature hydration and batched ANN queries are built on.
-  /// Tiered: one access per touched block (batch-aware promotion), and a
-  /// fault-injected cold load degrades its rows to nulls.
-  std::vector<const float*> MultiGet(
-      const std::vector<std::string>& keys) const;
+  /// Tiered: cold rows decode one at a time and never promote, and a
+  /// fault-injected cold load nulls every cold row of the call; `fault`,
+  /// when given, receives that fault (OK otherwise), so a caller can tell
+  /// a degraded read from a missing key.
+  std::vector<const float*> MultiGet(const std::vector<std::string>& keys,
+                                     Status* fault = nullptr) const;
 
   /// Vector copy (convenience for Value::Embedding interop).
   StatusOr<std::vector<float>> GetVector(const std::string& key) const;

@@ -1,10 +1,10 @@
 #include "embedding/tier.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/failpoint.h"
@@ -214,123 +214,76 @@ PackedCodesView EmbeddingTier::MapView() const {
   return view;
 }
 
-std::vector<float> EmbeddingTier::LoadBlock(size_t b) const {
-  const size_t row0 = BlockRow0(b);
-  const size_t nrows = BlockRows(b);
-  std::vector<float> rows(nrows * dim_);
-  DequantizeRange(MapView(), row0, nrows, rows.data());
+BlockCache::Payload EmbeddingTier::LoadBlockPayload(size_t b) const {
+  auto rows = std::make_shared<std::vector<float>>(BlockRows(b) * dim_);
+  DequantizeRange(MapView(), BlockRow0(b), BlockRows(b), rows->data());
   return rows;
+}
+
+Status EmbeddingTier::CheckLoadFault() const {
+  if (!FailpointRegistry::Instance().AnyArmed()) return Status::OK();
+  Status s = FailpointRegistry::Instance().Evaluate("embedding.tier.load");
+  if (!s.ok()) load_faults_.fetch_add(1, std::memory_order_relaxed);
+  return s;
 }
 
 StatusOr<const float*> EmbeddingTier::GetRow(size_t row) const {
   if (row >= n_) {
     return Status::OutOfRange("embedding tier row out of range");
   }
-  auto& pins = BlockCache::ThreadPins();
-  pins.clear();
-  const size_t b = row / block_rows_;
-  const size_t offset = (row - BlockRow0(b)) * dim_;
-  BlockCache::Payload hot = cache_->Touch(b, cache_->BeginBatch());
-  if (hot != nullptr) {
-    cache_->CountAccess(1, 0);
-    const float* ptr = BlockFloats(hot) + offset;
-    pins.push_back(std::move(hot));
-    return ptr;
-  }
-  cache_->CountAccess(0, 1);
-  if (FailpointRegistry::Instance().AnyArmed()) {
-    Status s = FailpointRegistry::Instance().Evaluate("embedding.tier.load");
-    if (!s.ok()) {
-      load_faults_.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-  }
-  BlockCache::Payload loaded = LoadBlockPayload(b);
-  const float* ptr = BlockFloats(loaded) + offset;
-  pins.push_back(loaded);
-  // A concurrent reader may have promoted b already; our copy is
-  // byte-identical (same codes, same tables), so serving it is fine.
-  cache_->Insert(b, std::move(loaded), BlockBytes(b), cache_->BeginBatch());
-  return ptr;
+  const int64_t r = static_cast<int64_t>(row);
+  std::vector<const float*> out;
+  MLFS_RETURN_IF_ERROR(MultiGetRows({&r, 1}, &out));
+  return out[0];
 }
 
-void EmbeddingTier::MultiGetRows(std::span<const int64_t> rows,
-                                 std::vector<const float*>* out) const {
+Status EmbeddingTier::MultiGetRows(std::span<const int64_t> rows,
+                                   std::vector<const float*>* out) const {
   out->assign(rows.size(), nullptr);
   auto& pins = BlockCache::ThreadPins();
   pins.clear();
-  if (rows.empty()) return;
-
-  // One stamp for the whole batch: a block counts one access no matter
-  // how many batch rows it serves (batch-aware promotion).
+  // (row, slot) pairs in row order, so each block's rows are adjacent:
+  // one Touch refreshes a hot block's stamp and one pin serves them all.
+  std::vector<std::pair<size_t, size_t>> order;
+  order.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= 0 && static_cast<size_t>(rows[i]) < n_) {
+      order.emplace_back(static_cast<size_t>(rows[i]), i);
+    }
+  }
+  std::sort(order.begin(), order.end());
   const uint64_t stamp = cache_->BeginBatch();
-  std::unordered_map<size_t, BlockCache::Payload> held;
-  std::vector<size_t> cold;
-  for (int64_t r : rows) {
-    if (r < 0 || static_cast<size_t>(r) >= n_) continue;
-    const size_t b = static_cast<size_t>(r) / block_rows_;
-    auto [it, inserted] = held.try_emplace(b);
-    if (!inserted) continue;
-    it->second = cache_->Touch(b, stamp);
-    if (it->second == nullptr) cold.push_back(b);
-  }
-  uint64_t row_hits = 0, row_misses = 0;
-  for (int64_t r : rows) {
-    if (r < 0 || static_cast<size_t>(r) >= n_) continue;
-    const size_t b = static_cast<size_t>(r) / block_rows_;
-    if (held[b] == nullptr) {
-      ++row_misses;
-    } else {
-      ++row_hits;
-    }
-  }
-  cache_->CountAccess(row_hits, row_misses);
-
-  bool faulted = false;
-  if (!cold.empty() && FailpointRegistry::Instance().AnyArmed()) {
-    Status s = FailpointRegistry::Instance().Evaluate("embedding.tier.load");
-    if (!s.ok()) {
-      faulted = true;  // Cold slots degrade to misses (stay null).
-      load_faults_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!faulted && !cold.empty()) {
-    // Overlap: hand the back half of the cold blocks to the readahead
-    // scheduler, dequantize the front half here, then collect. A dropped
-    // or disabled prefetch falls back to the demand load; either way the
-    // bytes are identical (dequantization is deterministic).
-    size_t split = cold.size();
-    if (readahead_->enabled() && cold.size() >= 2) {
-      split = cold.size() - cold.size() / 2;
-      for (size_t ci = split; ci < cold.size(); ++ci) {
-        const size_t b = cold[ci];
-        readahead_->Prefetch(b, [this, b] { return LoadBlockPayload(b); });
+  size_t cold = 0;  // Cold pairs compact to the front of `order`.
+  for (size_t k = 0; k < order.size();) {
+    const size_t b = order[k].first / block_rows_;
+    BlockCache::Payload hot = cache_->Touch(b, stamp);
+    for (; k < order.size() && order[k].first / block_rows_ == b; ++k) {
+      if (hot == nullptr) {
+        order[cold++] = order[k];
+      } else {
+        (*out)[order[k].second] =
+            BlockFloats(hot) + (order[k].first - BlockRow0(b)) * dim_;
       }
     }
-    for (size_t ci = 0; ci < cold.size(); ++ci) {
-      const size_t b = cold[ci];
-      BlockCache::Payload p;
-      if (ci >= split) p = readahead_->Consume(b);
-      if (p == nullptr) p = LoadBlockPayload(b);
-      held[b] = std::move(p);
-    }
-    for (size_t b : cold) {
-      cache_->Insert(b, held[b], BlockBytes(b), stamp);
-    }
+    if (hot != nullptr) pins.push_back(std::move(hot));
   }
+  cache_->CountAccess(order.size() - cold, cold);
+  if (cold == 0) return Status::OK();
 
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const int64_t r = rows[i];
-    if (r < 0 || static_cast<size_t>(r) >= n_) continue;
-    const size_t b = static_cast<size_t>(r) / block_rows_;
-    const BlockCache::Payload& p = held[b];
-    if (p == nullptr) continue;  // Fault-injected cold block.
-    (*out)[i] =
-        BlockFloats(p) + (static_cast<size_t>(r) - BlockRow0(b)) * dim_;
+  // Cold rows decode from the mapped codes into one per-call buffer that
+  // the pin set owns. Their blocks are never promoted: only SetHotLimit
+  // changes the hot set. A load fault leaves every cold slot null.
+  MLFS_RETURN_IF_ERROR(CheckLoadFault());
+  std::shared_ptr<float[]> decoded =
+      std::make_shared_for_overwrite<float[]>(cold * dim_);
+  const PackedCodesView view = MapView();
+  for (size_t c = 0; c < cold; ++c) {
+    float* dst = decoded.get() + c * dim_;
+    DequantizeRange(view, order[c].first, 1, dst);
+    (*out)[order[c].second] = dst;
   }
-  for (auto& [b, p] : held) {
-    if (p != nullptr) pins.push_back(std::move(p));
-  }
+  pins.push_back(std::move(decoded));
+  return Status::OK();
 }
 
 void EmbeddingTier::CopyRow(size_t row, float* out) const {
@@ -348,13 +301,7 @@ void EmbeddingTier::CopyRow(size_t row, float* out) const {
 Status EmbeddingTier::ScanBlocks(
     const std::function<void(size_t row0, size_t nrows, const float* rows)>&
         fn) const {
-  if (FailpointRegistry::Instance().AnyArmed()) {
-    Status s = FailpointRegistry::Instance().Evaluate("embedding.tier.load");
-    if (!s.ok()) {
-      load_faults_.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-  }
+  MLFS_RETURN_IF_ERROR(CheckLoadFault());
   scans_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t stamp = cache_->BeginBatch();
   // Sequential-scan readahead: while fn chews on block b, the scheduler

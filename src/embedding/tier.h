@@ -27,7 +27,8 @@ struct EmbeddingTierOptions {
   size_t memory_budget_bytes = 0;
   /// Bits per dimension in the packed cold tier (1..16).
   int bits = 8;
-  /// Rows per block — the promotion/demotion and dequantization unit.
+  /// Rows per block — the unit of the hot arena (seeding, demotion) and
+  /// of scan dequantization; point reads decode single rows.
   size_t block_rows = 256;
   /// Directory the packed tier file is written into (required).
   std::string dir;
@@ -36,17 +37,18 @@ struct EmbeddingTierOptions {
   /// Tier files are scratch by default: deleted when the tier is
   /// destroyed. Snapshots embed the packed codes, not the file path.
   bool remove_file_on_destroy = true;
-  /// Async cold-block prefetch (io/readahead.h). Default-disabled;
-  /// served bytes are identical either way (dequantization is
-  /// deterministic), readahead only moves it off the serving thread.
+  /// Async cold-block prefetch for ScanBlocks (io/readahead.h).
+  /// Default-disabled; scanned bytes are identical either way
+  /// (dequantization is deterministic), readahead only moves it off the
+  /// scanning thread.
   ReadaheadOptions readahead;
 };
 
 /// Monotonic tier counters plus a point-in-time occupancy snapshot.
 struct EmbeddingTierStats {
   uint64_t hot_hits = 0;      // Rows served from the hot arena.
-  uint64_t cold_misses = 0;   // Rows that needed a cold block.
-  uint64_t promotions = 0;    // Cold blocks dequantized into the hot arena.
+  uint64_t cold_misses = 0;   // Rows decoded from the packed codes.
+  uint64_t promotions = 0;    // Always 0: reads never promote a block.
   uint64_t demotions = 0;     // Hot blocks evicted back to codes-only.
   uint64_t scans = 0;         // ScanBlocks passes (ANN scans).
   uint64_t scan_cold_blocks = 0;  // Blocks dequantized into scan scratch.
@@ -56,41 +58,42 @@ struct EmbeddingTierStats {
   size_t hot_limit_blocks = 0;
   size_t resident_bytes = 0;  // Hot arena bytes right now.
   size_t packed_bytes = 0;    // Size of the mmap'd tier file.
-  ReadaheadStats readahead;   // Cold-block prefetch counters.
+  ReadaheadStats readahead;   // Scan prefetch counters.
 };
 
 /// The out-of-core half of a tiered EmbeddingTable (MLKV-style): every row
 /// lives scalar-quantized in a checksummed, memory-mapped file; a bounded
 /// set of "hot" blocks additionally holds float32 rows in RAM. Reads are
-/// served from the hot arena when possible and dequantized from the mapped
-/// codes otherwise, with batch-aware promotion: all rows a MultiGet batch
-/// touches in one block count as a single access, so one burst cannot
-/// monopolize the LRU clock, and full scans (ScanBlocks) refresh hot
-/// stamps without growing the hot set (scan-resistant — a brute-force ANN
-/// pass must not evict the point-lookup working set).
+/// served from the hot arena when possible; a cold row is decoded alone
+/// from the mapped codes (row decode), and its block is never promoted.
+/// The hot set is what Build/Restore seeded, shrunk only by SetHotLimit,
+/// so seeded rows stay exact. Reads and full scans (ScanBlocks) refresh
+/// the stamps of the hot blocks they touch, which decides what a later
+/// SetHotLimit shrink demotes first.
 ///
 /// Storage plumbing is the shared io/ subsystem: the packed file is a
 /// BlockFile ("MLET" magic in the common envelope, spilled with the
 /// WriteFileAtomic + mmap-reopen discipline and fully validated at open),
-/// the hot arena is a BlockCache (batch-granular scan-resistant LRU with
-/// the shared thread-local pin set), and cold-block prefetch runs on a
-/// ReadaheadScheduler. This file owns only the quantization codec and the
-/// row-addressing geometry.
+/// the hot arena is a BlockCache (batch-granular LRU with the shared
+/// thread-local pin set), and scan prefetch runs on a ReadaheadScheduler.
+/// This file owns only the quantization codec and the row-addressing
+/// geometry.
 ///
 ///   body: u32 bits, u64 n, u64 dim, u64 block_rows,
 ///         float lo[dim], float hi[dim], codes[n * row_bytes]
 ///
 /// Pointer lifetime: pointers handed out by GetRow/MultiGetRows stay
 /// valid until the *calling thread's* next GetRow/MultiGetRows on any
-/// tier (the BlockCache thread-local pin set keeps the backing blocks
-/// alive across concurrent demotion); copy before issuing another read.
+/// tier (the BlockCache thread-local pin set keeps the backing hot blocks
+/// and the call's decoded cold rows alive across concurrent demotion);
+/// copy before issuing another read.
 /// Hot demotion therefore never invalidates a pointer another thread
 /// just obtained.
 ///
 /// Failpoints: "embedding.tier.spill" fires before the tier file is
 /// written (Build/Restore fail cleanly); "embedding.tier.load" fires when
-/// a read or scan needs a cold block (GetRow/ScanBlocks propagate the
-/// injected status; MultiGetRows degrades the affected rows to misses);
+/// a read needs a cold row or a scan runs (GetRow/ScanBlocks propagate
+/// the injected status; MultiGetRows nulls the cold rows and returns it);
 /// "io.load" (in BlockFile::Map) and "io.readahead" (in the scheduler)
 /// fire underneath.
 ///
@@ -117,19 +120,18 @@ class EmbeddingTier {
   EmbeddingTier(const EmbeddingTier&) = delete;
   EmbeddingTier& operator=(const EmbeddingTier&) = delete;
 
-  /// Row pointer (hot arena or freshly promoted block); see the pointer
+  /// Row pointer (hot arena or the row decoded alone); see the pointer
   /// lifetime contract above.
   StatusOr<const float*> GetRow(size_t row) const;
 
   /// Batched lookup: out[i] points at rows[i]'s vector, or is null when
-  /// rows[i] < 0 or its cold load was fault-injected. Each distinct block
-  /// counts one access regardless of how many batch rows it serves. With
-  /// readahead enabled the back half of the batch's cold blocks
-  /// dequantize on the scheduler while this thread does the front half.
-  void MultiGetRows(std::span<const int64_t> rows,
-                    std::vector<const float*>* out) const;
+  /// rows[i] is out of range or a cold row whose load was fault-injected;
+  /// the injected fault is returned (OK otherwise). Hits and misses count
+  /// per row; each distinct hot block is stamped and pinned once.
+  Status MultiGetRows(std::span<const int64_t> rows,
+                      std::vector<const float*>* out) const;
 
-  /// Copies one row into `out` (dim floats) without promoting or pinning.
+  /// Copies one row into `out` (dim floats) without stamping or pinning.
   void CopyRow(size_t row, float* out) const;
 
   /// Streams every row block-wise in ascending row order:
@@ -155,9 +157,10 @@ class EmbeddingTier {
   const std::string& path() const { return file_->path(); }
 
   /// Adjusts the hot arena capacity in blocks (cache policy, not data):
-  /// shrinking demotes excess blocks immediately; growing lets future
-  /// promotions fill the new room. The store uses this to take the arena
-  /// away from superseded versions without rewriting tier files.
+  /// shrinking demotes the least recently touched blocks immediately;
+  /// growing demotes nothing and promotes nothing. The store uses this to
+  /// take the arena away from superseded versions without rewriting tier
+  /// files.
   void SetHotLimit(size_t blocks) const;
 
   EmbeddingTierStats stats() const;
@@ -190,13 +193,12 @@ class EmbeddingTier {
   size_t BlockBytes(size_t b) const {
     return BlockRows(b) * dim_ * sizeof(float);
   }
-  /// Dequantizes block `b` into a fresh buffer (no locks needed: the
-  /// mapped codes are immutable).
-  std::vector<float> LoadBlock(size_t b) const;
-  /// LoadBlock as a cache payload (what readahead jobs materialize).
-  BlockCache::Payload LoadBlockPayload(size_t b) const {
-    return std::make_shared<const std::vector<float>>(LoadBlock(b));
-  }
+  /// Dequantizes block `b` into a fresh vector<float> payload (what scan
+  /// readahead jobs materialize; no locks needed: the mapped codes are
+  /// immutable).
+  BlockCache::Payload LoadBlockPayload(size_t b) const;
+  /// Evaluates the "embedding.tier.load" failpoint, counting a fault.
+  Status CheckLoadFault() const;
   static const float* BlockFloats(const BlockCache::Payload& p) {
     return static_cast<const std::vector<float>*>(p.get())->data();
   }

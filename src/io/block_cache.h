@@ -29,11 +29,12 @@ struct BlockCacheStats {
 ///
 /// Replacement is batch-granular LRU: the caller draws one clock stamp
 /// per read batch (BeginBatch) and stamps every block that batch touches
-/// with it, so a thousand-row MultiGet counts one access per block and
-/// cannot monopolize the clock. Scan resistance is a calling convention
-/// on the same primitive: a scan stamps resident blocks (keeping the
-/// point-lookup working set warm) but never Inserts its cold blocks, so
-/// a full sweep cannot flush the cache.
+/// with it, so a thousand-row MultiGet counts one access per block. The
+/// embedding tier Inserts only to seed a freshly built or restored
+/// cache: its point reads and scans Touch resident blocks and decode cold
+/// rows or blocks into their own buffers, never promoting them. After
+/// seeding, only SetCapacity changes what is resident, and the stamps
+/// decide which blocks a shrink evicts first.
 ///
 /// Eviction is a linear min-stamp scan (block universes are small —
 /// rows / block_rows slots) run whenever an Insert or SetCapacity leaves

@@ -32,6 +32,13 @@ bool IsTransient(const Status& s) {
   }
 }
 
+/// Why an embedding feature has no value: the tier's load fault, or no
+/// row for the entity.
+std::string EmbeddingMissMessage(const Status& fault, const Value& entity) {
+  return fault.ok() ? "no embedding for entity " + entity.ToString()
+                    : fault.message();
+}
+
 /// Stable per-thread stripe assignment: threads round-robin onto stripes at
 /// first use, so steady-state recording from a fixed reader pool is
 /// contention-free.
@@ -150,19 +157,24 @@ StatusOr<FeatureVector> FeatureServer::GetFeatures(
         out.stale.push_back(std::move(note));
       }
       const float* vec = nullptr;
+      Status fault;  // A tier load fault, as opposed to a missing key.
       if (entity_key.type() == FeatureType::kString) {
         auto lookup = table->Get(entity_key.string_value());
-        if (lookup.ok()) vec = *lookup;
+        if (lookup.ok()) {
+          vec = *lookup;
+        } else if (!lookup.status().IsNotFound()) {
+          fault = lookup.status();
+        }
       }
       if (vec == nullptr) {
         if (options_.missing_policy == MissingFeaturePolicy::kError) {
           retries_.fetch_add(retries, std::memory_order_relaxed);
-          return Status::NotFound("feature '" + feature +
-                                  "' unavailable: no embedding for entity " +
-                                  entity_key.ToString());
+          return Status::NotFound("feature '" + feature + "' unavailable: " +
+                                  EmbeddingMissMessage(fault, entity_key));
         }
         out.values.push_back(Value::Null());
         ++out.missing;
+        if (IsTransient(fault)) ++out.degraded;
         continue;
       }
       out.values.push_back(
@@ -296,7 +308,9 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
   // table means view j goes through the online path.
   struct EmbeddingColumn {
     EmbeddingTablePtr table;
-    std::vector<const float*> rows;  // Null = missing key.
+    std::vector<const float*> rows;  // Null = missing key or load fault.
+    /// The tier load fault that nulled this column's cold rows, if any.
+    Status fault;
     /// Owned copies of the found rows when `table` is tiered: tier
     /// pointers only survive until the serving thread's next tiered read,
     /// and assembly (stage 2) runs after other views' fetches.
@@ -414,7 +428,7 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
         // Non-string keys keep "", which no table key matches (embedding
         // keys are non-empty by construction) — a plain miss.
       }
-      emb.rows = emb.table->MultiGet(string_keys);
+      emb.rows = emb.table->MultiGet(string_keys, &emb.fault);
       if (emb.table->tiered()) {
         const size_t dim = emb.table->dim();
         emb.storage.resize(n * dim);
@@ -485,15 +499,21 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
         const EmbeddingColumn& emb = emb_columns[j];
         const float* vec = emb.rows[i];
         if (vec == nullptr) {
+          // A null row of a key the table holds was nulled by the fault.
+          const bool faulted =
+              !emb.fault.ok() &&
+              entity_keys[i].type() == FeatureType::kString &&
+              emb.table->IndexOf(entity_keys[i].string_value()) >= 0;
+          const Status fault = faulted ? emb.fault : Status::OK();
           if (options_.missing_policy == MissingFeaturePolicy::kError) {
             entity_error = Status::NotFound(
-                "feature '" + features[j] +
-                "' unavailable: no embedding for entity " +
-                entity_keys[i].ToString());
+                "feature '" + features[j] + "' unavailable: " +
+                EmbeddingMissMessage(fault, entity_keys[i]));
             break;
           }
           fv.values.push_back(Value::Null());
           ++fv.missing;
+          if (IsTransient(fault)) ++fv.degraded;
           continue;
         }
         fv.values.push_back(Value::Embedding(

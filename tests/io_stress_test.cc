@@ -11,7 +11,7 @@
 //  2. A tiered embedding table with readahead *enabled*, hammered by the
 //     same access mix as the tier soak — every row served must still be
 //     bitwise one of the two legal values even while scheduler workers
-//     materialize blocks behind the serving threads.
+//     dequantize scan blocks behind the scanning threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -240,8 +240,8 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
   std::atomic<uint64_t> served{0};
 
   std::vector<std::thread> threads;
-  // Batchers drive MultiGet's front/back cold split: wide batches force
-  // multiple cold blocks per call so the scheduler carries real work.
+  // Batchers issue wide batches whose cold rows decode inline while the
+  // scanners' prefetches run and the flapper demotes hot blocks.
   for (int t = 0; t < kBatchers; ++t) {
     threads.emplace_back([&, t] {
       Rng local(50 + t);

@@ -138,6 +138,18 @@ TEST_F(TieredEmbeddingTest, AllHotTableKeepsExactGetContracts) {
   EXPECT_TRUE(tiered->MultiGet({}).empty());
 }
 
+/// What a cold row serves: the packed codec's floats for row `row`.
+std::vector<float> CodecRow(const EmbeddingTable& source, int bits,
+                            size_t row) {
+  PackedCodes packed = PackUniform(source.raw().data(), source.size(),
+                                   source.dim(), bits)
+                           .value();
+  PackedDecodeTables tables = MakeDecodeTables(bits, packed.lo, packed.hi);
+  std::vector<float> out(source.dim());
+  DequantizeRange(ViewOf(packed, tables), row, 1, out.data());
+  return out;
+}
+
 TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   const size_t n = 256, dim = 4, block_rows = 64;  // 4 blocks.
   auto source = ResidentTable("emb", n, dim);
@@ -156,26 +168,46 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   EXPECT_EQ(stats.hot_hits, 1u);
   EXPECT_EQ(stats.cold_misses, 0u);
 
-  // Cold read in block 2: miss, promote, and demote block 0 (budget 1).
-  ASSERT_TRUE(tiered->Get("k130").ok());
+  // Cold read in block 2: a miss that decodes the row alone and leaves
+  // the hot set as seeded.
+  const std::vector<float> codec130 = CodecRow(*source, 8, 130);
+  const float* got = tiered->Get("k130").value();
+  EXPECT_TRUE(BitEqual(got, codec130.data(), dim));
   stats = tier->stats();
   EXPECT_EQ(stats.cold_misses, 1u);
-  EXPECT_EQ(stats.promotions, 1u);
-  EXPECT_EQ(stats.demotions, 1u);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.demotions, 0u);
   EXPECT_EQ(stats.hot_blocks, 1u);
 
-  // Same row again: now a hot hit.
-  ASSERT_TRUE(tiered->Get("k130").ok());
-  EXPECT_EQ(tier->stats().hot_hits, 2u);
+  // Same row again: still a miss, still the codec's floats.
+  got = tiered->Get("k130").value();
+  EXPECT_TRUE(BitEqual(got, codec130.data(), dim));
+  stats = tier->stats();
+  EXPECT_EQ(stats.hot_hits, 1u);
+  EXPECT_EQ(stats.cold_misses, 2u);
+  EXPECT_EQ(stats.promotions, 0u);
 
-  // Demoted row serves dequantized values from here on.
-  std::vector<float> got(dim);
-  tiered->CopyRow(0, got.data());
-  PackedCodes packed = PackUniform(source->raw().data(), n, dim, 8).value();
-  PackedDecodeTables tables = MakeDecodeTables(8, packed.lo, packed.hi);
-  std::vector<float> expect(dim);
-  DequantizeRange(ViewOf(packed, tables), 0, 1, expect.data());
-  EXPECT_TRUE(BitEqual(got.data(), expect.data(), dim));
+  // The seeded row is still exact.
+  EXPECT_TRUE(BitEqual(tiered->Get("k0").value(), source->row(0), dim));
+
+  // Only SetHotLimit changes the hot set: shrinking demotes block 0, and
+  // its rows serve the codec's floats from here on.
+  tier->SetHotLimit(0);
+  stats = tier->stats();
+  EXPECT_EQ(stats.demotions, 1u);
+  EXPECT_EQ(stats.hot_blocks, 0u);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_TRUE(BitEqual(tiered->Get("k0").value(),
+                       CodecRow(*source, 8, 0).data(), dim));
+
+  // Growing the limit back promotes nothing, even for rows read since.
+  tier->SetHotLimit(1);
+  ASSERT_TRUE(tiered->Get("k0").ok());
+  stats = tier->stats();
+  EXPECT_EQ(stats.hot_blocks, 0u);
+  EXPECT_EQ(stats.hot_limit_blocks, 1u);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.demotions, 1u);
 }
 
 TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
@@ -187,23 +219,79 @@ TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
                                 block_rows))
                     .value();
   // 10 rows from cold block 3 plus 3 rows from hot block 0, one batch:
-  // one promotion (block-granular), per-row hit/miss counters.
+  // per-row hit/miss counters, and no block moves.
   std::vector<std::string> batch;
   for (int i = 0; i < 10; ++i) batch.push_back("k" + std::to_string(192 + i));
   for (int i = 0; i < 3; ++i) batch.push_back("k" + std::to_string(i));
-  auto rows = tiered->MultiGet(batch);
-  for (const float* row : rows) ASSERT_NE(row, nullptr);
+  for (int pass = 1; pass <= 2; ++pass) {
+    auto rows = tiered->MultiGet(batch);
+    for (const float* row : rows) ASSERT_NE(row, nullptr);
+    EmbeddingTierStats stats = tiered->tier()->stats();
+    EXPECT_EQ(stats.cold_misses, 10u * pass);
+    EXPECT_EQ(stats.hot_hits, 3u * pass);
+    EXPECT_EQ(stats.promotions, 0u);
+    EXPECT_EQ(stats.demotions, 0u);
+    EXPECT_EQ(stats.hot_blocks, 2u);
+    // Cold rows serve the codec's floats, hot rows the exact source.
+    for (size_t i = 0; i < 10; ++i) {
+      EXPECT_TRUE(BitEqual(rows[i], CodecRow(*source, 8, 192 + i).data(),
+                           dim))
+          << i;
+    }
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(BitEqual(rows[10 + i], source->row(i), dim));
+    }
+  }
+  // The batch refreshed block 0's stamp, so shrinking the hot set to one
+  // block demotes the stale seed, block 1.
+  tiered->tier()->SetHotLimit(1);
   EmbeddingTierStats stats = tiered->tier()->stats();
-  EXPECT_EQ(stats.promotions, 1u);
-  EXPECT_EQ(stats.cold_misses, 10u);
-  EXPECT_EQ(stats.hot_hits, 3u);
-  // Promoting block 3 under a 2-block budget demotes the stale seed
-  // (block 1 — block 0 was touched by this batch).
-  EXPECT_EQ(stats.hot_blocks, 2u);
   EXPECT_EQ(stats.demotions, 1u);
-  // Values: hot rows exact.
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(BitEqual(rows[10 + i], source->row(i), dim));
+  EXPECT_EQ(stats.hot_blocks, 1u);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_TRUE(BitEqual(tiered->Get("k1").value(), source->row(1), dim));
+  EXPECT_TRUE(BitEqual(tiered->Get("k64").value(),
+                       CodecRow(*source, 8, 64).data(), dim));
+}
+
+TEST_F(TieredEmbeddingTest, SeededRowsStayExactUnderColdReads) {
+  const size_t n = 640, dim = 8, block_rows = 64;  // 10 blocks, 4 hot.
+  auto source = ResidentTable("emb", n, dim);
+  auto tiered = EmbeddingTable::CreateTiered(
+                    *source,
+                    TierOptions(4 * block_rows * dim * sizeof(float), 8,
+                                block_rows))
+                    .value();
+  // Batches that together read every row of every block, cold ones
+  // included, in both orders.
+  std::vector<std::string> batch;
+  for (size_t i = 0; i < n; ++i) {
+    batch.push_back(tiered->key(i));
+    if (batch.size() == 40) {
+      ASSERT_EQ(tiered->MultiGet(batch).size(), batch.size());
+      batch.clear();
+    }
+  }
+  for (size_t i = n; i-- > 0;) batch.push_back(tiered->key(i));
+  ASSERT_EQ(tiered->MultiGet(batch).size(), n);
+
+  EmbeddingTierStats stats = tiered->tier()->stats();
+  EXPECT_EQ(stats.hot_hits + stats.cold_misses, 2 * n);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.demotions, 0u);
+  EXPECT_EQ(stats.hot_blocks, 4u);
+  // Every seeded row is still byte-identical to the source, through both
+  // read paths.
+  std::vector<std::string> seeded;
+  for (size_t i = 0; i < 4 * block_rows; ++i) {
+    EXPECT_TRUE(BitEqual(tiered->Get(tiered->key(i)).value(),
+                         source->row(i), dim))
+        << i;
+    seeded.push_back(tiered->key(i));
+  }
+  auto rows = tiered->MultiGet(seeded);
+  for (size_t i = 0; i < seeded.size(); ++i) {
+    EXPECT_TRUE(BitEqual(rows[i], source->row(i), dim)) << i;
   }
 }
 
@@ -536,11 +624,22 @@ TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
   FeatureStore store(options);
   ASSERT_TRUE(store.RegisterEmbedding(table).ok());
 
-  // Promote a few extra blocks so the snapshot's hot set differs from the
-  // seed layout (restore must reproduce the *current* hot set).
-  for (size_t i = n; i-- > n - 5;) {
-    ASSERT_TRUE(store.GetEmbedding("emb", table->key(i)).ok());
-  }
+  // Make the snapshot's hot set differ from the seed layout (restore must
+  // reproduce the *current* hot set): the budget seeds blocks 0-3; a read
+  // refreshes block 0, so shrinking to two blocks demotes blocks 1 and 2.
+  const EmbeddingTier* tier =
+      store.embeddings().GetLatest("emb").value()->tier();
+  ASSERT_EQ(tier->stats().hot_blocks, 4u);
+  ASSERT_TRUE(store.GetEmbedding("emb", table->key(0)).ok());
+  tier->SetHotLimit(2);
+  auto hot_ids = [](const EmbeddingTier& t) {
+    std::vector<uint32_t> ids;
+    for (const auto& [block, rows] : t.HotBlocksSnapshot()) {
+      ids.push_back(block);
+    }
+    return ids;
+  };
+  ASSERT_EQ(hot_ids(*tier), (std::vector<uint32_t>{0, 3}));
 
   std::vector<std::vector<float>> before;
   for (size_t i = 0; i < n; ++i) {
@@ -559,6 +658,7 @@ TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
   ASSERT_TRUE(restored.RestoreCheckpoint(ckpt).ok());
   auto restored_table = restored.embeddings().GetLatest("emb").value();
   ASSERT_TRUE(restored_table->tiered());
+  EXPECT_EQ(hot_ids(*restored_table->tier()), (std::vector<uint32_t>{0, 3}));
 
   for (size_t i = 0; i < n; ++i) {
     auto got = restored.GetEmbedding("emb", table->key(i)).value();
@@ -590,12 +690,8 @@ TEST_F(TieredEmbeddingTest, RestoreFallsBackToResidentWhenSpillFails) {
   options.embedding_tiering.spill_dir = dir_ + "/spill";
   FeatureStore store(options);
   ASSERT_TRUE(store.RegisterEmbedding(table).ok());
-  // Warm-up pass: rotate every seed-exact block out of the hot arena so
-  // serving reaches its steady state (all rows at dequantized values)
-  // before we capture the reference — reads themselves promote/demote.
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(store.GetEmbedding("emb", table->key(i)).ok());
-  }
+  // Reads leave the hot set as seeded, so the reference mixes exact hot
+  // rows with dequantized cold ones.
   std::vector<std::vector<float>> before;
   for (size_t i = 0; i < n; ++i) {
     before.push_back(store.GetEmbedding("emb", table->key(i)).value());
@@ -617,6 +713,69 @@ TEST_F(TieredEmbeddingTest, RestoreFallsBackToResidentWhenSpillFails) {
     auto got = restored.GetEmbedding("emb", table->key(i)).value();
     EXPECT_TRUE(BitEqual(got.data(), before[i].data(), dim)) << i;
   }
+}
+
+TEST_F(TieredEmbeddingTest, ServingCountsLoadFaultAsDegraded) {
+  const size_t n = 256, dim = 8;
+  auto table = ResidentTable("emb", n, dim);
+  FeatureStoreOptions options;
+  options.embedding_tiering.memory_budget_bytes = n * dim * sizeof(float) / 2;
+  options.embedding_tiering.block_rows = 32;
+  options.embedding_tiering.spill_dir = dir_ + "/spill_null";
+  FeatureStore store(options);
+  ASSERT_TRUE(store.RegisterEmbedding(table).ok());
+  ASSERT_TRUE(store.embeddings().GetLatest("emb").value()->tiered());
+  FeatureStoreOptions strict_options = options;
+  strict_options.embedding_tiering.spill_dir = dir_ + "/spill_error";
+  strict_options.serving.missing_policy = MissingFeaturePolicy::kError;
+  FeatureStore strict(strict_options);
+  ASSERT_TRUE(strict.RegisterEmbedding(table).ok());
+
+  // Rows 0-127 are the seeded hot half; k200 is cold.
+  const FeatureServer& server = store.server();
+  ScopedFailpoint fp("embedding.tier.load", FailpointConfig{});
+  const uint64_t degraded_before = server.stats().degraded_responses;
+
+  auto one = server.GetFeatures(Value::String("k200"), {"emb"}, Hours(1));
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_TRUE(one->values[0].is_null());
+  EXPECT_EQ(one->missing, 1u);
+  EXPECT_EQ(one->degraded, 1u);
+
+  auto batch = server.GetFeaturesBatch(
+      {Value::String("k200"), Value::String("k3"), Value::String("nope")},
+      {"emb"}, Hours(1));
+  ASSERT_EQ(batch.size(), 3u);
+  for (const auto& fv : batch) ASSERT_TRUE(fv.ok()) << fv.status();
+  EXPECT_EQ(batch[0]->missing, 1u);
+  EXPECT_EQ(batch[0]->degraded, 1u);
+  // Hot keys are unaffected, and a key the table lacks is a plain miss.
+  EXPECT_EQ(batch[1]->missing, 0u);
+  EXPECT_EQ(batch[1]->values[0].embedding_value(),
+            std::vector<float>(table->row(3), table->row(3) + dim));
+  EXPECT_EQ(batch[2]->missing, 1u);
+  EXPECT_EQ(batch[2]->degraded, 0u);
+  auto hot = server.GetFeatures(Value::String("k3"), {"emb"}, Hours(1));
+  ASSERT_TRUE(hot.ok());
+  EXPECT_EQ(hot->missing, 0u);
+  EXPECT_EQ(server.stats().degraded_responses, degraded_before + 2);
+
+  // Under kError the entity fails with the fault's message, not "no
+  // embedding for entity".
+  auto strict_one =
+      strict.server().GetFeatures(Value::String("k200"), {"emb"}, Hours(1));
+  ASSERT_FALSE(strict_one.ok());
+  EXPECT_NE(strict_one.status().message().find("injected fault"),
+            std::string::npos)
+      << strict_one.status();
+  auto strict_batch = strict.server().GetFeaturesBatch(
+      {Value::String("k200"), Value::String("nope")}, {"emb"}, Hours(1));
+  ASSERT_FALSE(strict_batch[0].ok());
+  EXPECT_NE(strict_batch[0].status().message().find("injected fault"),
+            std::string::npos);
+  ASSERT_FALSE(strict_batch[1].ok());
+  EXPECT_NE(strict_batch[1].status().message().find("no embedding"),
+            std::string::npos);
 }
 
 TEST_F(TieredEmbeddingTest, DriftPatchAlignNedAcceptTieredTables) {
