@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.h"
 
 namespace mlfs {
+
+// gtest's fallback printer dumps a Value's raw bytes, heap pointers and
+// padding included, and those bytes become part of the discovered test
+// names. Print the type and value instead so the names are stable.
+void PrintTo(const Value& v, std::ostream* os) {
+  *os << FeatureTypeToString(v.type()) << ':' << v.ToString();
+}
+
 namespace {
 
 TEST(SerdeTest, VarintRoundTrip) {
