@@ -4,7 +4,7 @@
 // the tree-walking interpreter, the compiled program's row interpreter,
 // and the vectorized bytecode VM — at batch sizes 1/64/1024, plus the two
 // pipelines the VM feeds: batch materialization over sealed columnar
-// segments and predicate pushdown into columnar scans (ScanIf with a
+// segments and predicate pushdown into columnar scans (Scan with a
 // compiled predicate vs materialize-then-filter).
 
 #include <benchmark/benchmark.h>
@@ -204,6 +204,20 @@ StoreFixture& Fixture() {
   return *fixture;
 }
 
+// Materialize-then-filter baseline: keeps the already materialized rows
+// on which `pred`, run row-wise, is true.
+std::vector<Row> FilterRows(std::vector<Row> rows, const CompiledExpr& pred,
+                            ExprScratch* scratch) {
+  std::vector<Row> out;
+  for (Row& row : rows) {
+    auto v = pred.Eval(row, scratch);
+    if (v.ok() && !v->is_null() && v->bool_value()) {
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
 // Reference path: materialize every latest row, then evaluate row-wise.
 void BM_MaterializeRowAtATime(benchmark::State& state) {
   StoreFixture& f = Fixture();
@@ -251,11 +265,8 @@ void BM_FilterMaterialized(benchmark::State& state) {
       CompiledExpr::Compile(kPredicateExpr, f.table->options().schema).value();
   ExprScratch scratch;
   for (auto _ : state) {
-    std::vector<Row> out =
-        f.table->ScanIf(kMinTimestamp, kMaxTimestamp, [&](const Row& row) {
-          auto v = pred.Eval(row, &scratch);
-          return v.ok() && !v->is_null() && v->bool_value();
-        });
+    std::vector<Row> out = FilterRows(f.table->Scan({}).value(), pred,
+                                      &scratch);
     benchmark::DoNotOptimize(out.size());
     state.counters["rows_out"] = static_cast<double>(out.size());
   }
@@ -271,7 +282,7 @@ void BM_FilterPushdown(benchmark::State& state) {
   auto pred =
       CompiledExpr::Compile(kPredicateExpr, f.table->options().schema).value();
   for (auto _ : state) {
-    auto out = f.table->ScanIf(kMinTimestamp, kMaxTimestamp, pred);
+    auto out = f.table->Scan({.predicate = &pred});
     MLFS_CHECK_OK(out.status());
     benchmark::DoNotOptimize(out->size());
     state.counters["rows_out"] = static_cast<double>(out->size());
@@ -352,7 +363,7 @@ void BM_DictPredicateScan(benchmark::State& state) {
                             f.schema)
           .value();
   for (auto _ : state) {
-    auto out = f.table->ScanIf(kMinTimestamp, kMaxTimestamp, pred);
+    auto out = f.table->Scan({.predicate = &pred});
     MLFS_CHECK_OK(out.status());
     benchmark::DoNotOptimize(out->size());
     state.counters["rows_out"] = static_cast<double>(out->size());
@@ -373,11 +384,8 @@ void BM_PerRowStringScan(benchmark::State& state) {
           .value();
   ExprScratch scratch;
   for (auto _ : state) {
-    std::vector<Row> out =
-        f.table->ScanIf(kMinTimestamp, kMaxTimestamp, [&](const Row& row) {
-          auto v = pred.Eval(row, &scratch);
-          return v.ok() && !v->is_null() && v->bool_value();
-        });
+    std::vector<Row> out = FilterRows(f.table->Scan({}).value(), pred,
+                                      &scratch);
     benchmark::DoNotOptimize(out.size());
     state.counters["rows_out"] = static_cast<double>(out.size());
   }

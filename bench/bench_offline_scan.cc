@@ -172,8 +172,9 @@ void BM_ScanFullWidth(benchmark::State& state) {
   auto& fixture = Fixture();
   const OfflineTable* table = fixture.tables[state.range(0)];
   for (auto _ : state) {
-    std::vector<Row> rows = table->Scan();
-    MLFS_CHECK(rows.size() == kRows);
+    auto rows = table->Scan({});
+    MLFS_CHECK_OK(rows.status());
+    MLFS_CHECK(rows->size() == kRows);
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations() * kRows);
@@ -188,11 +189,11 @@ BENCHMARK(BM_ScanFullWidth)
 void BM_ScanProjected(benchmark::State& state) {
   auto& fixture = Fixture();
   const OfflineTable* table = fixture.tables[state.range(0)];
-  AsOfReadOptions options;
-  options.columns = fixture.projected_columns;
-  options.projected_schema = fixture.projected_schema;
+  ScanSpec spec;
+  spec.columns = fixture.projected_columns;
+  spec.projected_schema = fixture.projected_schema;
   for (auto _ : state) {
-    auto rows = table->ScanColumns(kMinTimestamp, kMaxTimestamp, options);
+    auto rows = table->Scan(spec);
     MLFS_CHECK_OK(rows.status());
     MLFS_CHECK(rows->size() == kRows);
     benchmark::DoNotOptimize(rows);

@@ -78,8 +78,8 @@ int main() {
 
   // --- Monitoring: the holiday shows up as training/serving skew ------------
   auto log = store.offline().GetTable("driver_stats_1h").value();
-  std::vector<Row> day1 = log->Scan(0, Days(1));
-  std::vector<Row> day2 = log->Scan(Days(1), Days(2));
+  std::vector<Row> day1 = log->Scan({0, Days(1)}).value();
+  std::vector<Row> day2 = log->Scan({Days(1), Days(2)}).value();
   auto skew = ComputeSkew(day1, day2, "fare_total").value();
   std::printf("fare_total day1 vs day2: %s\n", skew.ToString().c_str());
   if (skew.skewed) {

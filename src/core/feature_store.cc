@@ -138,34 +138,6 @@ StatusOr<int> FeatureStore::RegisterEmbedding(const EmbeddingTablePtr& table) {
   return embedding_store_.Register(table, clock_.now());
 }
 
-Status FeatureStore::MaterializeEmbedding(const std::string& name) {
-  MLFS_ASSIGN_OR_RETURN(EmbeddingTablePtr table,
-                        embedding_store_.GetLatest(name));
-  MLFS_ASSIGN_OR_RETURN(
-      SchemaPtr schema,
-      Schema::Create({{"entity", FeatureType::kString, false},
-                      {"event_time", FeatureType::kTimestamp, false},
-                      {"value", FeatureType::kEmbedding, true}}));
-  if (!online_.HasView(name)) {
-    MLFS_RETURN_IF_ERROR(online_.CreateView(name, schema));
-  }
-  const Timestamp now = clock_.now();
-  const Timestamp event_time =
-      table->metadata().created_at > 0 ? table->metadata().created_at : now;
-  for (size_t i = 0; i < table->size(); ++i) {
-    std::vector<float> vec(table->dim());
-    table->CopyRow(i, vec.data());
-    MLFS_ASSIGN_OR_RETURN(
-        Row out,
-        Row::Create(schema, {Value::String(table->key(i)),
-                             Value::Time(event_time),
-                             Value::Embedding(std::move(vec))}));
-    MLFS_RETURN_IF_ERROR(online_.Put(name, Value::String(table->key(i)),
-                                     out, event_time, now));
-  }
-  return Status::OK();
-}
-
 StatusOr<std::vector<float>> FeatureStore::GetEmbedding(
     const std::string& name, const std::string& key) const {
   MLFS_ASSIGN_OR_RETURN(EmbeddingTablePtr table,
@@ -301,15 +273,22 @@ FeatureStore::NearestEntitiesBatch(
   // buffer; unknown keys fail only their own slot.
   std::vector<Result> out(n, Result(Status::Internal("slot not filled")));
   const size_t dim = (*table)->dim();
-  std::vector<const float*> rows = (*table)->MultiGet(reference_keys);
+  Status fault;
+  std::vector<const float*> rows = (*table)->MultiGet(reference_keys, &fault);
   std::vector<float> queries;
   queries.reserve(n * dim);
   std::vector<size_t> query_slot;  // queries row -> out slot.
   query_slot.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (rows[i] == nullptr) {
-      out[i] = Status::NotFound("no embedding for key '" + reference_keys[i] +
-                                "'");
+      // A null row of a key the table holds was nulled by a tier load
+      // fault, which NearestEntities would return from Get as well.
+      if (!fault.ok() && (*table)->IndexOf(reference_keys[i]) >= 0) {
+        out[i] = fault;
+      } else {
+        out[i] = Status::NotFound("no embedding for key '" +
+                                  reference_keys[i] + "'");
+      }
       continue;
     }
     queries.insert(queries.end(), rows[i], rows[i] + dim);
@@ -379,18 +358,33 @@ StatusOr<DriftReport> FeatureStore::CheckFeatureDrift(
   MLFS_ASSIGN_OR_RETURN(
       OfflineTable* log_table,
       offline_.GetTable(Materializer::LogTableName(feature)));
-  auto extract = [&](Timestamp lo, Timestamp hi) {
+  // Only the value column is read: a projected scan never decodes the
+  // log's entity and time columns.
+  const SchemaPtr& log_schema = log_table->options().schema;
+  const int value_idx = log_schema->FieldIndex("value");
+  if (value_idx < 0) {
+    return Status::FailedPrecondition("log table '" + log_table->name() +
+                                      "' has no value column");
+  }
+  const int columns[] = {value_idx};
+  MLFS_ASSIGN_OR_RETURN(SchemaPtr value_schema,
+                        Schema::Create({log_schema->field(value_idx)}));
+  auto extract = [&](Timestamp lo,
+                     Timestamp hi) -> StatusOr<std::vector<double>> {
+    MLFS_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                          log_table->Scan({lo, hi, columns, value_schema}));
     std::vector<double> values;
-    for (const Row& row : log_table->Scan(lo, hi)) {
-      auto v = row.ValueByName("value");
-      if (!v.ok() || v->is_null()) continue;
-      auto d = v->AsDouble();
+    for (const Row& row : rows) {
+      const Value& v = row.value(0);
+      if (v.is_null()) continue;
+      auto d = v.AsDouble();
       if (d.ok()) values.push_back(*d);
     }
     return values;
   };
-  std::vector<double> reference = extract(ref_lo, ref_hi);
-  std::vector<double> current = extract(cur_lo, cur_hi);
+  MLFS_ASSIGN_OR_RETURN(std::vector<double> reference,
+                        extract(ref_lo, ref_hi));
+  MLFS_ASSIGN_OR_RETURN(std::vector<double> current, extract(cur_lo, cur_hi));
   if (reference.size() < 10) {
     return Status::FailedPrecondition(
         "reference window has too few materialized values (" +

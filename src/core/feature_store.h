@@ -117,11 +117,6 @@ class FeatureStore {
   /// Registers an embedding table version.
   StatusOr<int> RegisterEmbedding(const EmbeddingTablePtr& table);
 
-  /// Pushes the latest version's vectors into the online store as a
-  /// feature view "<name>" (schema {entity, event_time, value EMBEDDING}),
-  /// so ServeFeatures can return embeddings alongside tabular features.
-  Status MaterializeEmbedding(const std::string& name);
-
   /// Latest vector for `key`.
   StatusOr<std::vector<float>> GetEmbedding(const std::string& name,
                                             const std::string& key) const;
@@ -137,7 +132,8 @@ class FeatureStore {
   /// Batched NearestEntities: entry i is reference_keys[i]'s neighbors.
   /// One index resolve + one AnnIndex::BatchSearch for the whole batch;
   /// entries fail independently (an unknown reference key NotFounds only
-  /// its own slot).
+  /// its own slot; a reference row nulled by a tier load fault gets that
+  /// fault, as NearestEntities would).
   std::vector<StatusOr<std::vector<std::pair<std::string, float>>>>
   NearestEntitiesBatch(const std::string& name,
                        const std::vector<std::string>& reference_keys,

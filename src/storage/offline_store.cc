@@ -115,7 +115,7 @@ Status OfflineTable::SealPartitionLocked(int64_t pid, Partition& part) {
                       std::span<const Row>(part.head_rows)));
   MLFS_ASSIGN_OR_RETURN(SegmentPtr seg, Segment::FromBytes(std::move(blob)));
   // The head's ordinal range [head_base, head_base + n) moves into the
-  // segment verbatim; no index entry changes.
+  // segment verbatim; no key-directory posting changes.
   part.segments.push_back(std::move(seg));
   part.segment_base.push_back(part.head_base);
   part.head_base += part.head_rows.size();
@@ -139,18 +139,10 @@ Status OfflineTable::AppendLocked(const Row& row) {
   Partition& part = partitions_[pid];
   const size_t ordinal = part.head_base + part.head_rows.size();
   part.head_rows.push_back(row);
-  auto& postings = part.index[key];
-  // Insert in ts order (stable for equal timestamps: later insert wins by
-  // being placed after, so as-of picks the most recently appended row).
-  auto pos = std::upper_bound(
-      postings.begin(), postings.end(), ts,
-      [](Timestamp t, const IndexEntry& e) { return t < e.ts; });
-  postings.insert(pos, IndexEntry{ts, ordinal});
-  // Mirror the insert into the key directory's merged stream. upper_bound
-  // places equal timestamps after existing ones — the same
-  // most-recently-appended tie-break as the per-partition postings — and
-  // partitions cover disjoint time ranges, so ts order alone keeps the
-  // merged stream consistent with a partition-ordered walk.
+  // Insert into the key's merged stream in ts order. upper_bound places
+  // equal timestamps after existing ones, so as-of reads pick the most
+  // recently appended row; partitions cover disjoint time ranges, so ts
+  // order alone keeps the stream consistent with a partition-ordered walk.
   std::vector<GlobalPosting>& merged = key_directory_[key];
   auto gpos = std::upper_bound(
       merged.begin(), merged.end(), ts,
@@ -182,54 +174,6 @@ Status OfflineTable::AppendBatch(const std::vector<Row>& rows) {
   return Status::OK();
 }
 
-std::vector<Row> OfflineTable::Scan(Timestamp lo, Timestamp hi) const {
-  return ScanIf(lo, hi, nullptr);
-}
-
-std::vector<Row> OfflineTable::ScanIf(
-    Timestamp lo, Timestamp hi,
-    const std::function<bool(const Row&)>& pred) const {
-  std::shared_lock lock(mu_);
-  std::vector<Row> out;
-  if (lo >= hi) return out;
-  // Partitions wholly outside [lo, hi) are skipped without touching rows.
-  const int64_t lo_part =
-      (lo == kMinTimestamp) ? INT64_MIN : PartitionIdFor(lo);
-  const int64_t hi_part =
-      (hi == kMaxTimestamp) ? INT64_MAX : PartitionIdFor(hi);
-  for (auto it = partitions_.lower_bound(lo_part); it != partitions_.end();
-       ++it) {
-    if (it->first > hi_part) break;
-    const Partition& part = it->second;
-    // Segments then head is exactly per-partition append order, which is
-    // the order the legacy row engine scanned — scans stay byte-identical.
-    for (const SegmentPtr& seg : part.segments) {
-      if (seg->max_ts() < lo || seg->min_ts() >= hi) {
-        scan_segments_skipped_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      // A segment fully inside the window needs no per-row time checks.
-      const bool contained = seg->min_ts() >= lo && seg->max_ts() < hi;
-      for (size_t r = 0; r < seg->num_rows(); ++r) {
-        if (!contained) {
-          Timestamp ts = seg->ts(r);
-          if (ts < lo || ts >= hi) continue;
-        }
-        Row row = MaterializeRow(RowLoc{nullptr, seg.get(), r});
-        if (pred && !pred(row)) continue;
-        out.push_back(std::move(row));
-      }
-    }
-    for (const Row& row : part.head_rows) {
-      Timestamp ts = row.value(time_idx_).time_value();
-      if (ts < lo || ts >= hi) continue;
-      if (pred && !pred(row)) continue;
-      out.push_back(row);
-    }
-  }
-  return out;
-}
-
 Status OfflineTable::ValidateCompiled(const CompiledExpr& expr,
                                       bool need_bool) const {
   if (expr.schema() == nullptr || !(*expr.schema() == *options_.schema)) {
@@ -245,140 +189,30 @@ Status OfflineTable::ValidateCompiled(const CompiledExpr& expr,
   return Status::OK();
 }
 
-StatusOr<std::vector<Row>> OfflineTable::ScanPushdown(
-    Timestamp lo, Timestamp hi, const CompiledExpr& pred,
-    const AsOfReadOptions* proj) const {
-  MLFS_RETURN_IF_ERROR(ValidateCompiled(pred, /*need_bool=*/true));
-  if (proj != nullptr) {
-    if (proj->columns.empty()) {
-      return Status::InvalidArgument("ScanColumns requires a projection");
-    }
-    MLFS_RETURN_IF_ERROR(ValidateReadOptions(*proj));
-  }
-  std::shared_lock lock(mu_);
-  std::vector<Row> out;
-  if (lo >= hi) return out;
-  const int64_t lo_part =
-      (lo == kMinTimestamp) ? INT64_MIN : PartitionIdFor(lo);
-  const int64_t hi_part =
-      (hi == kMaxTimestamp) ? INT64_MAX : PartitionIdFor(hi);
-  ExprScratch scratch;
-  const ColumnVector* res = nullptr;
-  std::vector<Value> values;
-  // Sealed path: candidate row ids (time-filtered) accumulate per segment
-  // and evaluate in kEvalBatchRows chunks directly over the segment's
-  // column buffers; only surviving rows materialize cells.
-  std::vector<uint32_t> cand;
-  cand.reserve(kEvalBatchRows);
-  auto flush_segment = [&](const Segment* seg) -> Status {
-    if (cand.empty()) return Status::OK();
-    SegmentBatchSource src(seg, cand);
-    MLFS_RETURN_IF_ERROR(pred.EvalBatch(src, &scratch, &res));
-    for (size_t i = 0; i < cand.size(); ++i) {
-      if (res->TriBool(i) != 1) continue;  // false and NULL both drop.
-      values.clear();
-      seg->AppendProjected(
-          cand[i], proj != nullptr ? proj->columns : std::span<const int>(all_columns_),
-          &values);
-      out.push_back(Row::CreateUnsafe(
-          proj != nullptr ? proj->projected_schema : options_.schema, values));
-    }
-    cand.clear();
-    return Status::OK();
-  };
-  // Head path: surviving head rows either copy whole (full width) or
-  // gather their projected cells.
-  std::vector<const Row*> head_cand;
-  head_cand.reserve(kEvalBatchRows);
-  auto flush_head = [&]() -> Status {
-    if (head_cand.empty()) return Status::OK();
-    RowPtrBatchSource src(options_.schema, head_cand);
-    MLFS_RETURN_IF_ERROR(pred.EvalBatch(src, &scratch, &res));
-    for (size_t i = 0; i < head_cand.size(); ++i) {
-      if (res->TriBool(i) != 1) continue;
-      if (proj == nullptr) {
-        out.push_back(*head_cand[i]);
-        continue;
-      }
-      values.clear();
-      for (int col : proj->columns) values.push_back(head_cand[i]->value(col));
-      out.push_back(Row::CreateUnsafe(proj->projected_schema, values));
-    }
-    head_cand.clear();
-    return Status::OK();
-  };
-  for (auto it = partitions_.lower_bound(lo_part); it != partitions_.end();
-       ++it) {
-    if (it->first > hi_part) break;
-    const Partition& part = it->second;
-    for (const SegmentPtr& seg : part.segments) {
-      if (seg->max_ts() < lo || seg->min_ts() >= hi) {
-        scan_segments_skipped_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      // Full containment: every row is a candidate, so skip the per-row
-      // timestamp decode entirely.
-      const bool contained = seg->min_ts() >= lo && seg->max_ts() < hi;
-      for (size_t r = 0; r < seg->num_rows(); ++r) {
-        if (!contained) {
-          Timestamp ts = seg->ts(r);
-          if (ts < lo || ts >= hi) continue;
-        }
-        cand.push_back(static_cast<uint32_t>(r));
-        if (cand.size() == kEvalBatchRows) {
-          MLFS_RETURN_IF_ERROR(flush_segment(seg.get()));
-        }
-      }
-      MLFS_RETURN_IF_ERROR(flush_segment(seg.get()));
-    }
-    for (const Row& row : part.head_rows) {
-      Timestamp ts = row.value(time_idx_).time_value();
-      if (ts < lo || ts >= hi) continue;
-      head_cand.push_back(&row);
-      if (head_cand.size() == kEvalBatchRows) {
-        MLFS_RETURN_IF_ERROR(flush_head());
-      }
-    }
-    MLFS_RETURN_IF_ERROR(flush_head());
-  }
-  return out;
-}
-
-StatusOr<std::vector<Row>> OfflineTable::ScanIf(Timestamp lo, Timestamp hi,
-                                                const CompiledExpr& pred) const {
-  return ScanPushdown(lo, hi, pred, nullptr);
-}
-
-StatusOr<std::vector<Row>> OfflineTable::ScanColumns(
-    Timestamp lo, Timestamp hi, const AsOfReadOptions& options,
-    const CompiledExpr& pred) const {
-  return ScanPushdown(lo, hi, pred, &options);
-}
-
-Status OfflineTable::ValidateReadOptions(
-    const AsOfReadOptions& options) const {
-  if (options.columns.empty()) {
-    if (options.projected_schema != nullptr) {
+Status OfflineTable::ValidateProjection(
+    std::span<const int> columns, const SchemaPtr& projected_schema) const {
+  if (columns.empty()) {
+    if (projected_schema != nullptr) {
       return Status::InvalidArgument(
           "projected_schema set without a column projection");
     }
     return Status::OK();
   }
-  if (options.projected_schema == nullptr) {
+  if (projected_schema == nullptr) {
     return Status::InvalidArgument(
         "column projection requires projected_schema");
   }
-  if (options.projected_schema->num_fields() != options.columns.size()) {
+  if (projected_schema->num_fields() != columns.size()) {
     return Status::InvalidArgument(
         "projected_schema width does not match projection");
   }
-  for (size_t i = 0; i < options.columns.size(); ++i) {
-    int col = options.columns[i];
+  for (size_t i = 0; i < columns.size(); ++i) {
+    int col = columns[i];
     if (col < 0 || static_cast<size_t>(col) >= options_.schema->num_fields()) {
       return Status::InvalidArgument("projection column index out of range");
     }
     const FieldSpec& src = options_.schema->field(col);
-    const FieldSpec& dst = options.projected_schema->field(i);
+    const FieldSpec& dst = projected_schema->field(i);
     if (src.type != dst.type) {
       return Status::InvalidArgument("projection type mismatch for column '" +
                                      src.name + "'");
@@ -391,49 +225,106 @@ Status OfflineTable::ValidateReadOptions(
   return Status::OK();
 }
 
-StatusOr<std::vector<Row>> OfflineTable::ScanColumns(
-    Timestamp lo, Timestamp hi, const AsOfReadOptions& options) const {
-  if (options.columns.empty()) {
-    return Status::InvalidArgument("ScanColumns requires a projection");
+StatusOr<std::vector<Row>> OfflineTable::Scan(const ScanSpec& spec) const {
+  const CompiledExpr* pred = spec.predicate;
+  if (pred != nullptr) {
+    MLFS_RETURN_IF_ERROR(ValidateCompiled(*pred, /*need_bool=*/true));
   }
-  MLFS_RETURN_IF_ERROR(ValidateReadOptions(options));
+  MLFS_RETURN_IF_ERROR(ValidateProjection(spec.columns, spec.projected_schema));
+  const bool projected = !spec.columns.empty();
+  const std::span<const int> columns =
+      projected ? spec.columns : std::span<const int>(all_columns_);
+  const SchemaPtr& out_schema =
+      projected ? spec.projected_schema : options_.schema;
+  const Timestamp lo = spec.lo, hi = spec.hi;
   std::shared_lock lock(mu_);
   std::vector<Row> out;
   if (lo >= hi) return out;
+  // Partitions wholly outside [lo, hi) are skipped without touching rows.
   const int64_t lo_part =
       (lo == kMinTimestamp) ? INT64_MIN : PartitionIdFor(lo);
   const int64_t hi_part =
       (hi == kMaxTimestamp) ? INT64_MAX : PartitionIdFor(hi);
-  std::vector<Value> values;
-  for (auto it = partitions_.lower_bound(lo_part); it != partitions_.end();
-       ++it) {
-    if (it->first > hi_part) break;
+  // In-window rows collect as candidates, up to kEvalBatchRows at a time;
+  // the predicate evaluates over each batch — sealed rows straight off the
+  // segment's column buffers, head rows through a row source — and only
+  // survivors (TriBool == 1: false and NULL both drop) gather their cells.
+  ExprScratch scratch;
+  const ColumnVector* res = nullptr;
+  auto keep = [&](size_t i) { return pred == nullptr || res->TriBool(i) == 1; };
+  std::vector<uint32_t> seg_cand;
+  seg_cand.reserve(kEvalBatchRows);
+  auto flush_segment = [&](const Segment& seg) -> Status {
+    if (pred != nullptr && !seg_cand.empty()) {
+      MLFS_RETURN_IF_ERROR(
+          pred->EvalBatch(SegmentBatchSource(&seg, seg_cand), &scratch, &res));
+    }
+    for (size_t i = 0; i < seg_cand.size(); ++i) {
+      if (!keep(i)) continue;
+      // Cells move into the row: a string or embedding is never copied.
+      std::vector<Value> values;
+      values.reserve(columns.size());
+      seg.AppendProjected(seg_cand[i], columns, &values);
+      out.push_back(Row::CreateUnsafe(out_schema, std::move(values)));
+    }
+    seg_cand.clear();
+    return Status::OK();
+  };
+  std::vector<const Row*> head_cand;
+  head_cand.reserve(kEvalBatchRows);
+  auto flush_head = [&]() -> Status {
+    if (pred != nullptr && !head_cand.empty()) {
+      MLFS_RETURN_IF_ERROR(pred->EvalBatch(
+          RowPtrBatchSource(options_.schema, head_cand), &scratch, &res));
+    }
+    for (size_t i = 0; i < head_cand.size(); ++i) {
+      if (!keep(i)) continue;
+      const Row& row = *head_cand[i];
+      if (!projected) {
+        out.push_back(row);
+        continue;
+      }
+      std::vector<Value> values;
+      values.reserve(columns.size());
+      for (int col : columns) values.push_back(row.value(col));
+      out.push_back(Row::CreateUnsafe(out_schema, std::move(values)));
+    }
+    head_cand.clear();
+    return Status::OK();
+  };
+  for (auto it = partitions_.lower_bound(lo_part);
+       it != partitions_.end() && it->first <= hi_part; ++it) {
     const Partition& part = it->second;
+    // Segments then head is exactly per-partition append order, which is
+    // the order the legacy row engine scanned — scans stay byte-identical.
     for (const SegmentPtr& seg : part.segments) {
       if (seg->max_ts() < lo || seg->min_ts() >= hi) {
         scan_segments_skipped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
+      // A segment fully inside the window needs no per-row time checks.
       const bool contained = seg->min_ts() >= lo && seg->max_ts() < hi;
       for (size_t r = 0; r < seg->num_rows(); ++r) {
         if (!contained) {
-          Timestamp ts = seg->ts(r);
+          const Timestamp ts = seg->ts(r);
           if (ts < lo || ts >= hi) continue;
         }
-        values.clear();
-        // Columnar fast path: only the projected columns are decoded;
-        // unrequested columns are never touched.
-        seg->AppendProjected(r, options.columns, &values);
-        out.push_back(Row::CreateUnsafe(options.projected_schema, values));
+        seg_cand.push_back(static_cast<uint32_t>(r));
+        if (seg_cand.size() == kEvalBatchRows) {
+          MLFS_RETURN_IF_ERROR(flush_segment(*seg));
+        }
       }
+      MLFS_RETURN_IF_ERROR(flush_segment(*seg));
     }
     for (const Row& row : part.head_rows) {
-      Timestamp ts = row.value(time_idx_).time_value();
+      const Timestamp ts = row.value(time_idx_).time_value();
       if (ts < lo || ts >= hi) continue;
-      values.clear();
-      for (int col : options.columns) values.push_back(row.value(col));
-      out.push_back(Row::CreateUnsafe(options.projected_schema, values));
+      head_cand.push_back(&row);
+      if (head_cand.size() == kEvalBatchRows) {
+        MLFS_RETURN_IF_ERROR(flush_head());
+      }
     }
+    MLFS_RETURN_IF_ERROR(flush_head());
   }
   return out;
 }
@@ -466,7 +357,8 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
   if (results.size() != requests.size()) {
     return Status::InvalidArgument("AsOfBatch results/requests size mismatch");
   }
-  MLFS_RETURN_IF_ERROR(ValidateReadOptions(options));
+  MLFS_RETURN_IF_ERROR(
+      ValidateProjection(options.columns, options.projected_schema));
   for (size_t i = 1; i < requests.size(); ++i) {
     const AsOfRequest& prev = requests[i - 1];
     const AsOfRequest& cur = requests[i];
@@ -499,25 +391,18 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
       continue;
     }
     const std::vector<GlobalPosting>& postings = dit->second;
-    const size_t num_postings = postings.size();
     size_t pos = 0;
     for (; i < run_end; ++i) {
-      const Timestamp ts = requests[i].ts;
-      if (options.prune_time_ranges) {
-        // Time-range pruning: the remaining postings are ts-sorted, so a
-        // binary search from the cursor lands directly past the last
-        // matchable posting — every row reference whose timestamp range
-        // cannot contain the request is skipped, never visited. Selects
-        // exactly the posting the linear walk below selects.
-        pos = static_cast<size_t>(
-            std::upper_bound(postings.begin() + pos, postings.end(), ts,
-                             [](Timestamp t, const GlobalPosting& g) {
-                               return t < g.ts;
-                             }) -
-            postings.begin());
-      } else {
-        while (pos < num_postings && postings[pos].ts <= ts) ++pos;
-      }
+      // The remaining postings are ts-sorted, so a binary search from the
+      // cursor lands directly past the last matchable posting: postings
+      // the request timestamp cannot match are skipped, never visited.
+      pos = static_cast<size_t>(
+          std::upper_bound(postings.begin() + pos, postings.end(),
+                           requests[i].ts,
+                           [](Timestamp t, const GlobalPosting& g) {
+                             return t < g.ts;
+                           }) -
+          postings.begin());
       if (pos > 0) {
         // Rightmost posting with ts <= request: max event time, with the
         // most-recently-appended row winning equal-timestamp ties.
@@ -616,8 +501,8 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
   return Status::OK();
 }
 
-std::vector<Row> OfflineTable::LatestPerEntityAsOf(Timestamp ts) const {
-  std::shared_lock lock(mu_);
+std::vector<const OfflineTable::GlobalPosting*>
+OfflineTable::LatestPostingsLocked(Timestamp ts) const {
   // Each entity settles with one binary search over its merged posting
   // stream: the rightmost posting with ts <= the cutoff is its latest row.
   // Emitted in encoded-key order so the result is independent of hash-map
@@ -633,9 +518,18 @@ std::vector<Row> OfflineTable::LatestPerEntityAsOf(Timestamp ts) const {
   }
   std::sort(hits.begin(), hits.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  std::vector<const GlobalPosting*> out;
+  out.reserve(hits.size());
+  for (const auto& [key, posting] : hits) out.push_back(posting);
+  return out;
+}
+
+std::vector<Row> OfflineTable::LatestPerEntityAsOf(Timestamp ts) const {
+  std::shared_lock lock(mu_);
+  const std::vector<const GlobalPosting*> hits = LatestPostingsLocked(ts);
   std::vector<Row> out;
   out.reserve(hits.size());
-  for (const auto& [key, posting] : hits) {
+  for (const GlobalPosting* posting : hits) {
     out.push_back(MaterializeRow(Resolve(*posting->part, posting->ordinal)));
   }
   return out;
@@ -645,19 +539,7 @@ StatusOr<std::vector<MaterializedCell>> OfflineTable::EvalLatestPerEntityAsOf(
     Timestamp ts, const CompiledExpr& expr) const {
   MLFS_RETURN_IF_ERROR(ValidateCompiled(expr, /*need_bool=*/false));
   std::shared_lock lock(mu_);
-  // Row selection is identical to LatestPerEntityAsOf: rightmost posting
-  // with ts <= cutoff per entity, emitted in canonical key order.
-  std::vector<std::pair<const std::string*, const GlobalPosting*>> hits;
-  hits.reserve(key_directory_.size());
-  for (const auto& [key, merged] : key_directory_) {
-    auto it = std::upper_bound(
-        merged.begin(), merged.end(), ts,
-        [](Timestamp t, const GlobalPosting& g) { return t < g.ts; });
-    if (it == merged.begin()) continue;
-    hits.emplace_back(&key, &*--it);
-  }
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  const std::vector<const GlobalPosting*> hits = LatestPostingsLocked(ts);
   const size_t n = hits.size();
   std::vector<MaterializedCell> out(n);
   // Group the matched rows by residence so each group evaluates as column
@@ -674,8 +556,8 @@ StatusOr<std::vector<MaterializedCell>> OfflineTable::EvalLatestPerEntityAsOf(
   std::vector<const Row*> head_rows;
   std::vector<size_t> head_slots;
   for (size_t i = 0; i < n; ++i) {
-    out[i].event_time = hits[i].second->ts;
-    RowLoc loc = Resolve(*hits[i].second->part, hits[i].second->ordinal);
+    out[i].event_time = hits[i]->ts;
+    RowLoc loc = Resolve(*hits[i]->part, hits[i]->ordinal);
     if (loc.head != nullptr) {
       out[i].entity = loc.head->value(entity_idx_);
       head_rows.push_back(loc.head);
@@ -799,15 +681,11 @@ Status OfflineTable::CompactPartition(int64_t pid) {
     if (it == partitions_.end()) return Status::OK();
     captured = it->second.segments;
   }
-  return CompactRun(pid, std::move(captured));
-}
-
-Status OfflineTable::CompactRun(int64_t pid, std::vector<SegmentPtr> captured) {
   if (captured.size() < 2) return Status::OK();
   // Merge off-lock: adjacent segments cover adjacent ordinal ranges, so
-  // concatenating a captured run in order is ordinal order — the merged
-  // segment covers the contiguous range starting at the run's first base
-  // and the append-order tie-break is untouched.
+  // concatenating them in order is ordinal order — the merged segment
+  // covers the contiguous range starting at the first segment's base and
+  // the append-order tie-break is untouched.
   std::vector<Row> rows;
   size_t total = 0;
   for (const SegmentPtr& seg : captured) total += seg->num_rows();
@@ -825,130 +703,43 @@ Status OfflineTable::CompactRun(int64_t pid, std::vector<SegmentPtr> captured) {
       Segment::Encode(options_.schema, pid, entity_idx_, time_idx_,
                       std::span<const Row>(rows)));
   MLFS_ASSIGN_OR_RETURN(SegmentPtr merged, Segment::FromBytes(std::move(blob)));
-  // Swap under the exclusive lock, after verifying the captured run is
-  // still in place (it must be — see above — but a pointer check is cheap
-  // insurance against a future locking regression). Auto-seal may have
-  // appended segments after the run, never inside or before it.
+  // Swap under the exclusive lock, after verifying the captured segments
+  // still lead the partition (they must — see above — but a pointer check
+  // is cheap insurance against a future locking regression). Auto-seal may
+  // have appended segments after them, never before.
   std::unique_lock lock(mu_);
   auto it = partitions_.find(pid);
   if (it == partitions_.end()) {
     return Status::Internal("partition vanished during compaction");
   }
   Partition& part = it->second;
-  const auto first = std::find(part.segments.begin(), part.segments.end(),
-                               captured.front());
-  const size_t at = static_cast<size_t>(first - part.segments.begin());
-  if (first == part.segments.end() ||
-      part.segments.size() - at < captured.size()) {
-    return Status::Internal("segment run vanished during compaction");
+  const size_t n = captured.size();
+  if (part.segments.size() < n ||
+      !std::equal(captured.begin(), captured.end(), part.segments.begin())) {
+    return Status::Internal("segments changed during compaction");
   }
-  for (size_t s = 0; s < captured.size(); ++s) {
-    if (part.segments[at + s] != captured[s]) {
-      return Status::Internal("segment run changed during compaction");
-    }
-  }
-  const size_t base = part.segment_base[at];
-  part.segments.erase(part.segments.begin() + at,
-                      part.segments.begin() + at + captured.size());
-  part.segments.insert(part.segments.begin() + at, std::move(merged));
-  part.segment_base.erase(part.segment_base.begin() + at,
-                          part.segment_base.begin() + at + captured.size());
-  part.segment_base.insert(part.segment_base.begin() + at, base);
+  const size_t base = part.segment_base.front();
+  part.segments.erase(part.segments.begin(), part.segments.begin() + n);
+  part.segments.insert(part.segments.begin(), std::move(merged));
+  part.segment_base.erase(part.segment_base.begin(),
+                          part.segment_base.begin() + n);
+  part.segment_base.insert(part.segment_base.begin(), base);
   return Status::OK();
 }
 
-namespace {
-
-/// log2 size bucket for size-tiered compaction: segments in the same
-/// bucket are "peers" worth merging (the merge graduates them together
-/// into the next bucket).
-int SizeBucket(const SegmentPtr& seg) {
-  int bucket = 0;
-  for (size_t size = seg->encoded_size() >> 12; size != 0; size >>= 1) {
-    ++bucket;  // 0: <4KiB, 1: <8KiB, ...
-  }
-  return bucket;
-}
-
-/// True when the two segments' event-time ranges intersect — fragments
-/// that interleave in time are where as-of probes pay for fragmentation,
-/// so overlapping runs merge first.
-bool TsOverlap(const SegmentPtr& a, const SegmentPtr& b) {
-  return a->min_ts() <= b->max_ts() && b->min_ts() <= a->max_ts();
-}
-
-/// Picks the best adjacent same-bucket run of >= 2 segments: most
-/// time-overlapping adjacent pairs, then longest, then earliest. Empty
-/// when every bucket neighbor pair differs — the caller falls back to
-/// merging the smallest adjacent pair so fragmentation always shrinks.
-std::vector<SegmentPtr> PickSizeTieredRun(
-    const std::vector<SegmentPtr>& segments) {
-  size_t best_at = 0, best_len = 0, best_overlap = 0;
-  size_t at = 0;
-  while (at < segments.size()) {
-    const int bucket = SizeBucket(segments[at]);
-    size_t end = at + 1, overlap = 0;
-    while (end < segments.size() && SizeBucket(segments[end]) == bucket) {
-      if (TsOverlap(segments[end - 1], segments[end])) ++overlap;
-      ++end;
-    }
-    const size_t len = end - at;
-    if (len >= 2 && (overlap > best_overlap ||
-                     (overlap == best_overlap && len > best_len))) {
-      best_at = at;
-      best_len = len;
-      best_overlap = overlap;
-    }
-    at = end;
-  }
-  if (best_len >= 2) {
-    return {segments.begin() + best_at, segments.begin() + best_at + best_len};
-  }
-  return {};
-}
-
-}  // namespace
-
 Status OfflineTable::CompactInner(size_t min_segments) {
   MLFS_FAILPOINT("offline_store.compact");
-  const bool size_tiered =
-      options_.compaction_policy == CompactionPolicy::kSizeTiered;
   std::vector<int64_t> candidates;
-  std::vector<std::vector<SegmentPtr>> runs;  // Parallel, size-tiered only.
   {
     std::shared_lock lock(mu_);
     for (const auto& [pid, part] : partitions_) {
-      if (part.segments.size() < std::max<size_t>(min_segments, 2)) continue;
-      if (!size_tiered) {
+      if (part.segments.size() >= std::max<size_t>(min_segments, 2)) {
         candidates.push_back(pid);
-        continue;
       }
-      std::vector<SegmentPtr> run = PickSizeTieredRun(part.segments);
-      if (run.empty()) {
-        // No same-bucket peers: merge the smallest adjacent pair so the
-        // partition still converges instead of fragmenting forever.
-        size_t smallest = 0;
-        size_t smallest_bytes = SIZE_MAX;
-        for (size_t s = 0; s + 1 < part.segments.size(); ++s) {
-          const size_t bytes = part.segments[s]->encoded_size() +
-                               part.segments[s + 1]->encoded_size();
-          if (bytes < smallest_bytes) {
-            smallest_bytes = bytes;
-            smallest = s;
-          }
-        }
-        run = {part.segments[smallest], part.segments[smallest + 1]};
-      }
-      candidates.push_back(pid);
-      runs.push_back(std::move(run));
     }
   }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (size_tiered) {
-      MLFS_RETURN_IF_ERROR(CompactRun(candidates[c], std::move(runs[c])));
-    } else {
-      MLFS_RETURN_IF_ERROR(CompactPartition(candidates[c]));
-    }
+  for (int64_t pid : candidates) {
+    MLFS_RETURN_IF_ERROR(CompactPartition(pid));
   }
   return Status::OK();
 }
@@ -1012,7 +803,7 @@ Status OfflineTable::EnforceBudgetInner() {
     for (size_t s = 0; s < part.segments.size(); ++s) {
       if (part.segments[s] == v.seg) {
         // Same bytes, different backing store; ordinals (and therefore
-        // every index posting) are untouched. The old resident blob is
+        // every key-directory posting) are untouched. The old resident blob is
         // freed when in-flight readers drop their reference.
         part.segments[s] = *mapped;
         break;
@@ -1132,19 +923,14 @@ Status OfflineTable::AdoptSegmentLocked(const SegmentPtr& seg) {
   part.segments.push_back(seg);
   part.segment_base.push_back(base);
   part.head_base += seg->num_rows();
-  // Rebuild index postings. Rows are visited in ordinal order and segments
-  // are adopted in ordinal order, so upper_bound reproduces the original
-  // append-order tie-break for equal timestamps.
+  // Add the rows to the key directory. Rows are visited in ordinal order
+  // and segments are adopted in ordinal order, so upper_bound reproduces
+  // the original append-order tie-break for equal timestamps.
   for (size_t r = 0; r < seg->num_rows(); ++r) {
     MLFS_ASSIGN_OR_RETURN(std::string key,
                           EntityKeyToString(seg->value(entity_idx_, r)));
     const Timestamp ts = seg->ts(r);
     const size_t ordinal = base + r;
-    auto& postings = part.index[key];
-    auto pos = std::upper_bound(
-        postings.begin(), postings.end(), ts,
-        [](Timestamp t, const IndexEntry& e) { return t < e.ts; });
-    postings.insert(pos, IndexEntry{ts, ordinal});
     std::vector<GlobalPosting>& merged = key_directory_[key];
     auto gpos = std::upper_bound(
         merged.begin(), merged.end(), ts,

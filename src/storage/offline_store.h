@@ -2,7 +2,6 @@
 #define MLFS_STORAGE_OFFLINE_STORE_H_
 
 #include <condition_variable>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -33,7 +32,7 @@ struct AsOfRequest {
   Timestamp ts = 0;
 };
 
-/// Optional knobs for batched reads (AsOfBatch / ScanColumns).
+/// Optional knobs for batched point-in-time reads (AsOfBatch).
 struct AsOfReadOptions {
   /// Projection: indices into the table schema to gather, in output order.
   /// Empty means full width. With columnar segments the projection is
@@ -50,19 +49,31 @@ struct AsOfReadOptions {
   /// `results` are left untouched — no empty row is materialized — so
   /// callers null-fill from the bitmap instead of probing result rows.
   std::vector<uint64_t>* miss_bitmap = nullptr;
-  /// Time-range pruning of the posting cursor (default on): AsOfBatch
-  /// advances each entity's cursor with a binary search over the remaining
-  /// (ts-sorted) postings instead of stepping row references one at a
-  /// time, skipping every posting a request timestamp cannot match.
-  /// Results are byte-identical either way (pinned by a differential
-  /// test); the knob exists so that equivalence stays testable.
-  bool prune_time_ranges = true;
   /// Spilled-segment prefetch pipeline depth for this call: AsOfBatch
   /// keeps up to this many segments ahead of the gather cursor warming
   /// concurrently (>= 1; meaningful only when the table's readahead is
   /// enabled). Deeper pipelines help when per-segment gather time is
   /// shorter than a segment's fault-in time.
   size_t readahead_depth = 1;
+};
+
+/// One OfflineTable::Scan: the rows with event time in [lo, hi), optionally
+/// filtered by a predicate and narrowed to a column projection.
+struct ScanSpec {
+  Timestamp lo = kMinTimestamp;
+  Timestamp hi = kMaxTimestamp;
+  /// Projection, as in AsOfReadOptions: indices into the table schema, in
+  /// output order; empty means full width. Sealed segments never decode
+  /// unrequested columns.
+  std::span<const int> columns = {};
+  /// Schema of the projected rows; required iff `columns` is non-empty.
+  SchemaPtr projected_schema = nullptr;
+  /// Optional filter, compiled against the table schema with BOOL output.
+  /// It runs batch-wise over segment column buffers and head rows before
+  /// any row is gathered, and a row survives only when it evaluates to
+  /// true (false and NULL both drop, SQL WHERE semantics). Not owned; must
+  /// outlive the call.
+  const CompiledExpr* predicate = nullptr;
 };
 
 /// Tests bit `i` of a miss bitmap produced by AsOfBatch.
@@ -76,23 +87,6 @@ struct MaterializedCell {
   Value entity;
   Timestamp event_time = 0;
   Value value;
-};
-
-/// How RunMaintenance() picks segments to merge (explicit
-/// CompactPartitions() always merges everything regardless of policy).
-enum class CompactionPolicy : uint8_t {
-  /// Merge every segment of a partition once the partition accumulates
-  /// compact_min_segments of them — the historical policy. Simple, but
-  /// each pass rewrites the partition's entire sealed history, so write
-  /// amplification grows with partition size.
-  kSegmentCount = 0,
-  /// Size-tiered: merge only an adjacent run of segments in the same
-  /// log2-size bucket (preferring runs whose event-time ranges overlap,
-  /// which is where as-of reads pay for fragmentation). Merged output
-  /// graduates to a bigger bucket and is not rewritten again until peers
-  /// of its own size accumulate — write amplification per row is
-  /// O(log n) instead of O(n / seal_rows).
-  kSizeTiered = 1,
 };
 
 /// Configuration for one offline (historical) table.
@@ -123,8 +117,6 @@ struct OfflineTableOptions {
   /// RunMaintenance() compacts a partition once it accumulates this many
   /// sealed segments (explicit CompactPartitions() compacts at >= 2).
   size_t compact_min_segments = 4;
-  /// Segment-selection policy for RunMaintenance() compaction.
-  CompactionPolicy compaction_policy = CompactionPolicy::kSegmentCount;
   /// Async spilled-segment prefetch for AsOfBatch (io/readahead.h): while
   /// the gather cursor works one spilled segment, the scheduler faults in
   /// the next one's pages off-thread. Default-disabled; results are
@@ -145,10 +137,9 @@ struct OfflineStorageStats {
   size_t spilled_bytes = 0;
   /// RunMaintenance() failures observed by the background thread.
   uint64_t maintenance_errors = 0;
-  /// Sealed segments skipped *entirely* by a scan because their
-  /// [min_ts, max_ts] range was disjoint from the scan window (Scan /
-  /// ScanIf / ScanColumns / pushdown scans) — how much work the
-  /// segment-level time index saved.
+  /// Sealed segments that Scan skipped *entirely* because their
+  /// [min_ts, max_ts] range was disjoint from the scan window — how much
+  /// work the segment-level time index saved.
   uint64_t scan_segments_skipped = 0;
   /// Spilled-segment prefetch counters (zeros when readahead is off).
   ReadaheadStats readahead;
@@ -156,11 +147,15 @@ struct OfflineStorageStats {
 
 /// Append-only, time-partitioned table of historical feature rows: the
 /// "offline store" half of the feature store's dual datastore (paper
-/// §2.2.2, e.g. a SQL warehouse). Serves full scans for training-set
-/// construction and per-entity *as-of* (point-in-time) reads.
+/// §2.2.2, e.g. a SQL warehouse). Backfills append to it; training-set
+/// construction and materialization read from it. Range reads go through
+/// one Scan(ScanSpec); per-entity *as-of* (point-in-time) reads — AsOf,
+/// AsOfBatch, LatestPerEntityAsOf, EvalLatestPerEntityAsOf — all resolve
+/// through one key directory: per entity, a single ts-sorted posting list
+/// merged across partitions.
 ///
-/// Storage is tiered (PR 6): each partition is a mutable row-oriented head
-/// that seals into immutable column-major segments (dictionary strings,
+/// Storage is tiered: each partition is a mutable row-oriented head that
+/// seals into immutable column-major segments (dictionary strings,
 /// delta-packed timestamps, raw fixed-width numerics; checksummed), which
 /// background maintenance compacts and — past the memory budget — spills
 /// to memory-mapped files so backfills larger than RAM work. Rows keep a
@@ -186,35 +181,15 @@ class OfflineTable {
 
   Status AppendBatch(const std::vector<Row>& rows);
 
-  /// All rows with event time in [lo, hi), in no particular order.
-  std::vector<Row> Scan(Timestamp lo = kMinTimestamp,
-                        Timestamp hi = kMaxTimestamp) const;
-
-  /// Scans with a row predicate.
-  std::vector<Row> ScanIf(Timestamp lo, Timestamp hi,
-                          const std::function<bool(const Row&)>& pred) const;
-
-  /// Scans with a compiled predicate pushed down into the columnar tier:
-  /// sealed rows evaluate batch-wise directly over segment column buffers
-  /// (no Row materialization for rejected rows) and head rows batch
-  /// through a row source. Rows whose predicate result is NULL are dropped
-  /// (SQL WHERE semantics). The predicate must be compiled against the
-  /// table schema with BOOL output.
-  StatusOr<std::vector<Row>> ScanIf(Timestamp lo, Timestamp hi,
-                                    const CompiledExpr& pred) const;
-
-  /// ScanColumns with predicate pushdown: the predicate runs over full-
-  /// schema segment columns first and only surviving rows gather their
-  /// projected cells.
-  StatusOr<std::vector<Row>> ScanColumns(Timestamp lo, Timestamp hi,
-                                         const AsOfReadOptions& options,
-                                         const CompiledExpr& pred) const;
-
-  /// Projected scan: materializes only `options.columns` (required), in
-  /// rows conforming to `options.projected_schema`. On sealed segments the
-  /// unrequested columns are never touched.
-  StatusOr<std::vector<Row>> ScanColumns(Timestamp lo, Timestamp hi,
-                                         const AsOfReadOptions& options) const;
+  /// The rows `spec` selects, in storage order: partitions ascending, each
+  /// partition's sealed segments before its mutable head, append order
+  /// within each. Sealed segments whose time range misses [lo, hi) are
+  /// skipped whole (counted in storage_stats().scan_segments_skipped);
+  /// segments wholly inside it skip the per-row time check. Rows conform
+  /// to the table schema, or to `spec.projected_schema` when projected.
+  /// InvalidArgument if the predicate was not compiled against this table
+  /// or is not BOOL, or the projection is malformed.
+  StatusOr<std::vector<Row>> Scan(const ScanSpec& spec) const;
 
   /// The most recent row for `entity_key` with event_time <= ts
   /// (point-in-time read). NotFound if the entity has no history at ts.
@@ -312,11 +287,7 @@ class OfflineTable {
       std::string_view snapshot);
 
  private:
-  struct IndexEntry {
-    Timestamp ts;
-    size_t ordinal;
-  };
-  /// Transparent hash/eq so batch reads can probe the index with
+  /// Transparent hash/eq so batch reads can probe the key directory with
   /// string_view keys without materializing a std::string per lookup.
   struct KeyHash {
     using is_transparent = void;
@@ -334,18 +305,13 @@ class OfflineTable {
   /// Ordinals are assigned at append time and never change: sealing moves
   /// the head's ordinal range into a segment, compaction concatenates
   /// adjacent segments' ranges, spilling only swaps a segment's backing
-  /// store — so index postings survive every tier transition untouched.
+  /// store — so key-directory postings survive every tier transition
+  /// untouched.
   struct Partition {
     std::vector<SegmentPtr> segments;
     std::vector<size_t> segment_base;  // Parallel to `segments`.
     size_t head_base = 0;
     std::vector<Row> head_rows;
-    // Per-entity (ts, ordinal) postings, kept sorted by ts at insert time
-    // so concurrent readers never need to mutate the index. Equal
-    // timestamps keep append order (later appends later), which is what
-    // gives as-of reads their most-recently-appended tie-break.
-    std::unordered_map<std::string, std::vector<IndexEntry>, KeyHash, KeyEq>
-        index;
   };
   /// One row reference in the cross-partition key directory. The Partition
   /// pointer is node-stable (std::map node); the row is addressed by its
@@ -368,25 +334,25 @@ class OfflineTable {
   /// Seals `part`'s head into a segment (caller holds the exclusive lock).
   Status SealPartitionLocked(int64_t pid, Partition& part);
   /// Adopts a restored segment as the next ordinal range of its partition
-  /// and rebuilds its index postings (caller holds the exclusive lock).
+  /// and adds its rows to the key directory (caller holds the exclusive
+  /// lock).
   Status AdoptSegmentLocked(const SegmentPtr& seg);
+  /// Merges `pid`'s sealed segments, captured under the shared lock, into
+  /// one segment and swaps it in place. Caller holds maintenance_mu_.
   Status CompactPartition(int64_t pid);
-  /// Merges `captured` — a contiguous run of `pid`'s sealed segments,
-  /// captured under the shared lock — into one segment and swaps it in
-  /// place. Caller holds maintenance_mu_.
-  Status CompactRun(int64_t pid, std::vector<SegmentPtr> captured);
   Status SealHeadsInner(size_t min_rows);
   Status CompactInner(size_t min_segments);
   Status EnforceBudgetInner();
-  Status ValidateReadOptions(const AsOfReadOptions& options) const;
+  /// Checks a column projection against the table schema.
+  Status ValidateProjection(std::span<const int> columns,
+                            const SchemaPtr& projected_schema) const;
   /// Checks `expr` was compiled against this table's schema (and, when
   /// `need_bool`, that it is a predicate).
   Status ValidateCompiled(const CompiledExpr& expr, bool need_bool) const;
-  /// Shared engine under both pushdown scans; `proj` is null for
-  /// full-width output.
-  StatusOr<std::vector<Row>> ScanPushdown(Timestamp lo, Timestamp hi,
-                                          const CompiledExpr& pred,
-                                          const AsOfReadOptions* proj) const;
+  /// Per entity, the posting of its latest row as of `ts` (the rightmost
+  /// posting with posting.ts <= ts), in canonical key order. Caller holds
+  /// the shared lock.
+  std::vector<const GlobalPosting*> LatestPostingsLocked(Timestamp ts) const;
   static RowLoc Resolve(const Partition& part, size_t ordinal);
   Row MaterializeRow(const RowLoc& loc) const;
   int64_t PartitionIdFor(Timestamp ts) const;
@@ -397,14 +363,15 @@ class OfflineTable {
   std::vector<int> all_columns_;  // 0..num_fields-1, for full-width gathers.
 
   mutable std::shared_mutex mu_;
-  // Ordered so as-of reads can walk partitions newest-first.
+  // Ordered so scans walk partitions in time order.
   std::map<int64_t, Partition> partitions_;
   // Key directory: entity key -> the entity's full posting stream merged
   // across partitions, globally sorted by ts with equal timestamps in
-  // append order (the same tie-break the per-partition postings keep).
-  // Maintained on append (under the exclusive lock) so AsOfBatch answers a
-  // key's whole request run with one hash probe and one flat, sequential
-  // cursor walk — no per-partition probing or pointer chasing.
+  // append order, which gives as-of reads their most-recently-appended
+  // tie-break. Maintained on append (under the exclusive lock) so
+  // AsOfBatch answers a key's whole request run with one hash probe and
+  // one flat, sequential cursor walk — no per-partition probing or
+  // pointer chasing.
   std::unordered_map<std::string, std::vector<GlobalPosting>, KeyHash, KeyEq>
       key_directory_;
   size_t num_rows_ = 0;

@@ -119,7 +119,7 @@ class Segment {
   Value value(size_t col, size_t row) const;
 
   /// Appends the cells of `row` for each column in `cols` (in order) to
-  /// `out` — the projected gather primitive under AsOfBatch/ScanColumns.
+  /// `out` — the projected gather primitive under AsOfBatch and Scan.
   void AppendProjected(size_t row, std::span<const int> cols,
                        std::vector<Value>* out) const;
 

@@ -120,7 +120,7 @@ TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
             ASSERT_NE(results[i].schema(), nullptr);
           }
         }
-        const size_t scanned = table->Scan(Hours(10), Hours(100)).size();
+        const size_t scanned = table->Scan({Hours(10), Hours(100)})->size();
         (void)scanned;
         (void)table->LatestPerEntityAsOf(Hours(rng.Uniform(24 * 14)));
         (void)table->storage_stats();
@@ -136,7 +136,7 @@ TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
   // Nothing lost or duplicated across every seal/compact/spill that ran.
   EXPECT_EQ(table->num_rows(),
             rows_written.load(std::memory_order_relaxed));
-  EXPECT_EQ(table->Scan().size(), table->num_rows());
+  EXPECT_EQ(table->Scan({})->size(), table->num_rows());
   const OfflineStorageStats stats = table->storage_stats();
   EXPECT_EQ(stats.head_rows + stats.sealed_rows, table->num_rows());
   EXPECT_EQ(stats.maintenance_errors, 0u);
@@ -180,7 +180,7 @@ TEST(ColumnarStressTest, SnapshotUnderConcurrentMaintenanceIsConsistent) {
   for (int i = 0; i < 50; ++i) {
     auto restored = OfflineTable::FromSnapshot(table->Snapshot());
     ASSERT_TRUE(restored.ok()) << restored.status();
-    EXPECT_EQ((*restored)->num_rows(), (*restored)->Scan().size());
+    EXPECT_EQ((*restored)->num_rows(), (*restored)->Scan({})->size());
   }
   stop.store(true, std::memory_order_release);
   writer.join();

@@ -155,8 +155,8 @@ TEST_F(FeatureStoreTest, EmbeddingLifecycle) {
   auto table = EmbeddingTable::Create(metadata, keys, vectors, 8).value();
   EXPECT_EQ(store_.RegisterEmbedding(table).value(), 1);
 
-  // Embeddings served through the same online path as tabular features.
-  ASSERT_TRUE(store_.MaterializeEmbedding("user_emb").ok());
+  // Embeddings are served through the same call as tabular features,
+  // hydrated straight from the registered table.
   auto fv = store_.ServeFeatures(Value::String("u3"), {"user_emb"});
   ASSERT_TRUE(fv.ok()) << fv.status();
   EXPECT_EQ(fv->values[0].type(), FeatureType::kEmbedding);

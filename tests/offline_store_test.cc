@@ -68,24 +68,86 @@ TEST(OfflineTableTest, AppendAndScan) {
   EXPECT_EQ(table->num_partitions(), 2u);  // Day 0 and day 2.
   EXPECT_EQ(table->max_event_time(), Days(2));
 
-  EXPECT_EQ(table->Scan().size(), 3u);
-  EXPECT_EQ(table->Scan(Hours(1), Hours(2)).size(), 1u);   // [1h, 2h).
-  EXPECT_EQ(table->Scan(Hours(1), Hours(2) + 1).size(), 2u);
-  EXPECT_EQ(table->Scan(Days(1), Days(3)).size(), 1u);
-  EXPECT_TRUE(table->Scan(Days(3), Days(4)).empty());
-  EXPECT_TRUE(table->Scan(Hours(2), Hours(1)).empty());  // Empty range.
+  EXPECT_EQ(table->Scan({})->size(), 3u);
+  EXPECT_EQ(table->Scan({Hours(1), Hours(2)})->size(), 1u);   // [1h, 2h).
+  EXPECT_EQ(table->Scan({Hours(1), Hours(2) + 1})->size(), 2u);
+  EXPECT_EQ(table->Scan({Days(1), Days(3)})->size(), 1u);
+  EXPECT_TRUE(table->Scan({Days(3), Days(4)})->empty());
+  EXPECT_TRUE(table->Scan({Hours(2), Hours(1)})->empty());  // Empty range.
 }
 
-TEST(OfflineTableTest, ScanIfAppliesPredicate) {
+TEST(OfflineTableTest, ScanAppliesPredicate) {
   auto table = OfflineTable::Create(TestOptions()).value();
   auto schema = TestSchema();
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(table->Append(MakeRow(schema, i, Hours(i), i, 0.0)).ok());
   }
-  auto rows = table->ScanIf(kMinTimestamp, kMaxTimestamp, [](const Row& r) {
-    return r.value(2).int64_value() % 2 == 0;
-  });
-  EXPECT_EQ(rows.size(), 5u);
+  CompiledExpr pred = CompiledExpr::Compile("trips % 2 == 0", schema).value();
+  auto rows = table->Scan({.predicate = &pred});
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 5u);
+  for (const Row& row : *rows) EXPECT_EQ(row.value(2).int64_value() % 2, 0);
+}
+
+TEST(OfflineTableTest, ScanValidatesSpec) {
+  auto table = OfflineTable::Create(TestOptions()).value();
+  auto schema = TestSchema();
+  ASSERT_TRUE(table->Append(MakeRow(schema, 1, Hours(1), 1, 0.5)).ok());
+  // A well-formed projected, filtered scan, so each case below fails for
+  // its one defect only.
+  const std::vector<int> columns = {2, 3};
+  const SchemaPtr projected =
+      Schema::Create({schema->field(2), schema->field(3)}).value();
+  CompiledExpr pred = CompiledExpr::Compile("trips > 0", schema).value();
+  ASSERT_TRUE(table->Scan({.columns = columns,
+                           .projected_schema = projected,
+                           .predicate = &pred})
+                  .ok());
+
+  // A predicate compiled against another table's schema.
+  const SchemaPtr other =
+      Schema::Create({{"trips", FeatureType::kInt64, true}}).value();
+  CompiledExpr foreign = CompiledExpr::Compile("trips > 0", other).value();
+  EXPECT_TRUE(
+      table->Scan({.predicate = &foreign}).status().IsInvalidArgument());
+  // A predicate that is not BOOL.
+  CompiledExpr numeric = CompiledExpr::Compile("trips + 1", schema).value();
+  EXPECT_TRUE(
+      table->Scan({.predicate = &numeric}).status().IsInvalidArgument());
+  // projected_schema without columns, and columns without projected_schema.
+  EXPECT_TRUE(table->Scan({.projected_schema = projected})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(table->Scan({.columns = columns}).status().IsInvalidArgument());
+  // Width, type and nullability mismatches.
+  const SchemaPtr narrow = Schema::Create({schema->field(2)}).value();
+  EXPECT_TRUE(table->Scan({.columns = columns, .projected_schema = narrow})
+                  .status()
+                  .IsInvalidArgument());
+  const SchemaPtr retyped =
+      Schema::Create({{"trips", FeatureType::kDouble, true},
+                      {"rating", FeatureType::kDouble, true}})
+          .value();
+  EXPECT_TRUE(table->Scan({.columns = columns, .projected_schema = retyped})
+                  .status()
+                  .IsInvalidArgument());
+  const SchemaPtr not_null =
+      Schema::Create({{"trips", FeatureType::kInt64, false},
+                      {"rating", FeatureType::kDouble, true}})
+          .value();
+  EXPECT_TRUE(table->Scan({.columns = columns, .projected_schema = not_null})
+                  .status()
+                  .IsInvalidArgument());
+  // An out-of-range column.
+  const std::vector<int> out_of_range = {2, 4};
+  EXPECT_TRUE(
+      table->Scan({.columns = out_of_range, .projected_schema = projected})
+          .status()
+          .IsInvalidArgument());
+  const std::vector<int> negative = {-1, 3};
+  EXPECT_TRUE(table->Scan({.columns = negative, .projected_schema = projected})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(OfflineTableTest, RejectsBadRows) {

@@ -229,7 +229,7 @@ TEST_F(SegmentFaultTest, SealCompactSpillFaultsLeaveTableReadable) {
         Row::Create(table->options().schema, row.values()).value());
   }
   ASSERT_TRUE(table->AppendBatch(on_schema).ok());
-  const std::string before = RowsBytes(table->Scan());
+  const std::string before = RowsBytes(table->Scan({}).value());
   const size_t rows_before = table->num_rows();
 
   for (const char* failpoint :
@@ -241,7 +241,7 @@ TEST_F(SegmentFaultTest, SealCompactSpillFaultsLeaveTableReadable) {
     EXPECT_FALSE(table->RunMaintenance().ok()) << failpoint;
     // The fault must not have lost, duplicated, or reordered anything.
     EXPECT_EQ(table->num_rows(), rows_before) << failpoint;
-    EXPECT_EQ(RowsBytes(table->Scan()), before) << failpoint;
+    EXPECT_EQ(RowsBytes(table->Scan({}).value()), before) << failpoint;
   }
   // Faults on the file-write path during spill: the resident segment must
   // simply stay resident.
@@ -250,7 +250,7 @@ TEST_F(SegmentFaultTest, SealCompactSpillFaultsLeaveTableReadable) {
     config.status = Status::Internal("injected write fault");
     ScopedFailpoint fp("persistence.write", config);
     EXPECT_FALSE(table->RunMaintenance().ok());
-    EXPECT_EQ(RowsBytes(table->Scan()), before);
+    EXPECT_EQ(RowsBytes(table->Scan({}).value()), before);
     EXPECT_EQ(table->storage_stats().spilled_segments, 0u);
   }
   // Faults while (re)opening the spilled file: same guarantee.
@@ -259,13 +259,13 @@ TEST_F(SegmentFaultTest, SealCompactSpillFaultsLeaveTableReadable) {
     config.status = Status::Internal("injected open fault");
     ScopedFailpoint fp("segment.open", config);
     EXPECT_FALSE(table->RunMaintenance().ok());
-    EXPECT_EQ(RowsBytes(table->Scan()), before);
+    EXPECT_EQ(RowsBytes(table->Scan({}).value()), before);
     EXPECT_EQ(table->storage_stats().spilled_segments, 0u);
   }
   // With the faults gone, maintenance completes and the data is unchanged.
   ASSERT_TRUE(table->RunMaintenance().ok());
   EXPECT_GT(table->storage_stats().spilled_segments, 0u);
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
+  EXPECT_EQ(RowsBytes(table->Scan({}).value()), before);
   table.reset();
   std::error_code ec;
   std::filesystem::remove_all(spill_dir, ec);
@@ -286,7 +286,7 @@ TEST_F(SegmentFaultTest, BackgroundMaintenanceSurvivesFaults) {
     }
   }
   ASSERT_TRUE(table->AppendBatch(rows).ok());
-  const std::string before = RowsBytes(table->Scan());
+  const std::string before = RowsBytes(table->Scan({}).value());
 
   FailpointConfig config;
   config.status = Status::Internal("injected fault");
@@ -295,11 +295,11 @@ TEST_F(SegmentFaultTest, BackgroundMaintenanceSurvivesFaults) {
   ASSERT_TRUE(table->StartMaintenance(/*period_millis=*/1).ok());
   EXPECT_FALSE(table->StartMaintenance(1).ok());  // Already running.
   while (table->storage_stats().maintenance_errors < 2) {
-    EXPECT_EQ(RowsBytes(table->Scan()), before);
+    EXPECT_EQ(RowsBytes(table->Scan({}).value()), before);
   }
   table->StopMaintenance();
   table->StopMaintenance();  // Idempotent.
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
+  EXPECT_EQ(RowsBytes(table->Scan({}).value()), before);
   table.reset();
   std::error_code ec;
   std::filesystem::remove_all(spill_dir, ec);
@@ -326,72 +326,7 @@ TEST_F(SegmentFaultTest, CorruptSnapshotSegmentRejected) {
   EXPECT_FALSE(restored.ok());
 }
 
-// --- Compaction policy + spilled-segment readahead ----------------------
-
-// Size-tiered maintenance merges only the run of similarly-sized segments
-// (the big segment is left alone), while explicit CompactPartitions()
-// still collapses everything; the rows themselves never change.
-TEST(CompactionPolicyTest, SizeTieredMergesPeersAndLeavesTheBigSegment) {
-  OfflineTableOptions options;
-  options.name = "size_tiered";
-  options.schema = AllEncodingsSchema();
-  options.entity_column = "key";
-  options.time_column = "event_time";
-  options.seal_rows = 512;  // Above any append: only SealHeads() seals.
-  options.compact_min_segments = 3;
-  options.compaction_policy = CompactionPolicy::kSizeTiered;
-  auto table = OfflineTable::Create(options).value();
-  const SchemaPtr& schema = table->options().schema;
-
-  // One big segment (a higher log2-size bucket than the small ones)...
-  ASSERT_TRUE(table->AppendBatch(AllEncodingsRows(schema, 256)).ok());
-  ASSERT_TRUE(table->SealHeads().ok());
-  // ...then a run of three small peers.
-  for (int s = 0; s < 3; ++s) {
-    ASSERT_TRUE(table->AppendBatch(AllEncodingsRows(schema, 8)).ok());
-    ASSERT_TRUE(table->SealHeads().ok());
-  }
-  ASSERT_EQ(table->storage_stats().sealed_segments, 4u);
-  const std::string before = RowsBytes(table->Scan());
-
-  ASSERT_TRUE(table->RunMaintenance().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 2u);
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
-
-  // Two segments in different buckets: below compact_min_segments, so
-  // maintenance leaves them; the explicit full merge still works.
-  ASSERT_TRUE(table->RunMaintenance().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 2u);
-  ASSERT_TRUE(table->CompactPartitions().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 1u);
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
-}
-
-// When every neighbor pair sits in a different bucket the policy must
-// still make progress (smallest adjacent pair) or partitions would
-// fragment forever under a steady small-seal workload.
-TEST(CompactionPolicyTest, SizeTieredFallsBackToSmallestAdjacentPair) {
-  OfflineTableOptions options;
-  options.name = "fallback";
-  options.schema = AllEncodingsSchema();
-  options.entity_column = "key";
-  options.time_column = "event_time";
-  options.seal_rows = 512;  // Above any append: only SealHeads() seals.
-  options.compact_min_segments = 2;
-  options.compaction_policy = CompactionPolicy::kSizeTiered;
-  auto table = OfflineTable::Create(options).value();
-  const SchemaPtr& schema = table->options().schema;
-
-  for (size_t rows : {256, 8}) {  // Two segments, two distinct buckets.
-    ASSERT_TRUE(table->AppendBatch(AllEncodingsRows(schema, rows)).ok());
-    ASSERT_TRUE(table->SealHeads().ok());
-  }
-  ASSERT_EQ(table->storage_stats().sealed_segments, 2u);
-  const std::string before = RowsBytes(table->Scan());
-  ASSERT_TRUE(table->RunMaintenance().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 1u);
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
-}
+// --- Spilled-segment readahead --------------------------------------------
 
 // AsOfBatch over spilled segments issues prefetches for the segments the
 // gather cursor will reach next; every prefetch completes before the call

@@ -616,17 +616,19 @@ TEST_F(DictPredicateTest, PushdownMatchesPerRowForEveryOperator) {
   };
   for (const std::string& ps : predicates) {
     CompiledExpr pred = CompiledExpr::Compile(ps, schema_).value();
-    auto pushed = table_->ScanIf(0, kMaxTimestamp, pred);
+    auto pushed = table_->Scan({.lo = 0, .predicate = &pred});
     ASSERT_TRUE(pushed.ok()) << ps << ": " << pushed.status();
 
     // Oracle: the same compiled predicate evaluated row-at-a-time through
-    // the scalar interpreter path (no dictionary, no batching).
+    // the scalar interpreter path (no dictionary, no batching) over an
+    // unfiltered scan.
     ExprScratch scratch;
-    std::vector<Row> want = table_->ScanIf(
-        0, kMaxTimestamp, [&](const Row& row) {
-          auto v = pred.Eval(row, &scratch);
-          return v.ok() && !v->is_null() && v->bool_value();
-        });
+    const std::vector<Row> all = table_->Scan({.lo = 0}).value();
+    std::vector<Row> want;
+    for (const Row& row : all) {
+      auto v = pred.Eval(row, &scratch);
+      if (v.ok() && !v->is_null() && v->bool_value()) want.push_back(row);
+    }
     ASSERT_EQ(pushed->size(), want.size()) << ps;
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ((*pushed)[i], want[i]) << ps << " row " << i;
@@ -639,13 +641,12 @@ TEST_F(DictPredicateTest, DisableFlagFallsBackToPerRowWithIdenticalResults) {
   // via ExprScratch: results must be identical to the fast path, proving
   // the per-code table and the per-row comparison agree lane by lane.
   CompiledExpr pred = CompiledExpr::Compile("city >= 'nyc'", schema_).value();
-  auto fast = table_->ScanIf(0, kMaxTimestamp, pred);
+  auto fast = table_->Scan({.lo = 0, .predicate = &pred});
   ASSERT_TRUE(fast.ok()) << fast.status();
 
   // Re-evaluate every returned row AND every dropped row through EvalRow:
   // a full-scan oracle over rows materialized without the predicate.
-  std::vector<Row> all =
-      table_->ScanIf(0, kMaxTimestamp, [](const Row&) { return true; });
+  std::vector<Row> all = table_->Scan({.lo = 0}).value();
   ExprScratch scratch;
   scratch.set_disable_dict_fastpath(true);
   std::vector<Row> slow;
@@ -677,11 +678,11 @@ TEST_F(DictPredicateTest, AllNullStringColumnScansClean) {
   }
   ASSERT_TRUE(t->SealHeads().ok());  // Empty dictionary, all codes NULL.
   CompiledExpr pred = CompiledExpr::Compile("city == 'sf'", schema_).value();
-  auto rows = t->ScanIf(0, kMaxTimestamp, pred);
+  auto rows = t->Scan({.lo = 0, .predicate = &pred});
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_TRUE(rows->empty());
   CompiledExpr ne = CompiledExpr::Compile("city != 'sf'", schema_).value();
-  rows = t->ScanIf(0, kMaxTimestamp, ne);
+  rows = t->Scan({.lo = 0, .predicate = &ne});
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_TRUE(rows->empty());  // NULL predicate results drop the row.
 }
@@ -739,7 +740,7 @@ class TimePruneTest : public ::testing::Test {
   SchemaPtr schema_;
 };
 
-TEST_F(TimePruneTest, AsOfBatchPruneOnOffByteIdentical) {
+TEST_F(TimePruneTest, AsOfBatchMatchesPerRequestAsOfOnSealedPartitions) {
   OfflineStore store;
   Rng rng(0x70ff);
   OfflineTable* t = MakeTable(store, "t", {}, rng, 2000);
@@ -747,20 +748,23 @@ TEST_F(TimePruneTest, AsOfBatchPruneOnOffByteIdentical) {
   std::vector<AsOfRequest> requests;
   for (const auto& [k, ts] : reqs) requests.push_back({k, ts});
 
-  std::vector<Row> on(requests.size()), off(requests.size());
-  std::vector<uint64_t> on_miss, off_miss;
-  AsOfReadOptions opt_on, opt_off;
-  opt_on.prune_time_ranges = true;
-  opt_on.miss_bitmap = &on_miss;
-  opt_off.prune_time_ranges = false;
-  opt_off.miss_bitmap = &off_miss;
-  ASSERT_TRUE(t->AsOfBatch(requests, on, opt_on).ok());
-  ASSERT_TRUE(t->AsOfBatch(requests, off, opt_off).ok());
-  EXPECT_EQ(on_miss, off_miss);
+  std::vector<Row> got(requests.size());
+  std::vector<uint64_t> miss;
+  AsOfReadOptions options;
+  options.miss_bitmap = &miss;
+  ASSERT_TRUE(t->AsOfBatch(requests, got, options).ok());
+  size_t hits = 0;
   for (size_t i = 0; i < requests.size(); ++i) {
-    if (MissBitmapTest(on_miss, i)) continue;
-    EXPECT_EQ(on[i], off[i]) << "request " << i;
+    auto want =
+        t->AsOf(Value::Int64(std::stoll(reqs[i].first)), reqs[i].second);
+    ASSERT_EQ(MissBitmapTest(miss, i), want.status().IsNotFound())
+        << "request " << i;
+    if (!want.ok()) continue;
+    ++hits;
+    EXPECT_EQ(got[i], *want) << "request " << i;
   }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, requests.size());
 }
 
 TEST_F(TimePruneTest, ScanSkipsNonOverlappingSegmentsAndCountsThem) {
@@ -773,12 +777,11 @@ TEST_F(TimePruneTest, ScanSkipsNonOverlappingSegmentsAndCountsThem) {
   // skipped without decoding, and the results must equal a brute filter.
   const Timestamp lo = Hours(48), hi = Hours(96);
   const uint64_t before = t->storage_stats().scan_segments_skipped;
-  std::vector<Row> got = t->ScanIf(lo, hi, [](const Row&) { return true; });
+  std::vector<Row> got = t->Scan({lo, hi}).value();
   const uint64_t after = t->storage_stats().scan_segments_skipped;
   EXPECT_GT(after, before);
 
-  std::vector<Row> all =
-      t->ScanIf(0, kMaxTimestamp, [](const Row&) { return true; });
+  std::vector<Row> all = t->Scan({.lo = 0}).value();
   const int ts_idx = schema_->FieldIndex("ts");
   std::vector<Row> want;
   for (const Row& row : all) {
@@ -786,13 +789,13 @@ TEST_F(TimePruneTest, ScanSkipsNonOverlappingSegmentsAndCountsThem) {
     if (ts >= lo && ts < hi) want.push_back(row);
   }
   ASSERT_EQ(got.size(), want.size());
-  // ScanIf emits partition order; the brute filter preserves it.
+  // Scan emits partition order; the brute filter preserves it.
   for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
 
   // The pushdown scan prunes identically.
   CompiledExpr pred = CompiledExpr::Compile("v >= 0.0", schema_).value();
   const uint64_t before2 = t->storage_stats().scan_segments_skipped;
-  auto pushed = t->ScanIf(lo, hi, pred);
+  auto pushed = t->Scan({.lo = lo, .hi = hi, .predicate = &pred});
   ASSERT_TRUE(pushed.ok());
   EXPECT_GT(t->storage_stats().scan_segments_skipped, before2);
   EXPECT_EQ(pushed->size(), want.size());

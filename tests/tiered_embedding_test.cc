@@ -778,6 +778,41 @@ TEST_F(TieredEmbeddingTest, ServingCountsLoadFaultAsDegraded) {
             std::string::npos);
 }
 
+TEST_F(TieredEmbeddingTest, NearestEntitiesBatchReturnsLoadFault) {
+  const size_t n = 256, dim = 8;
+  auto table = ResidentTable("emb", n, dim);
+  FeatureStoreOptions options;
+  options.ann_index = "brute";  // Out-of-core: every search scans the tier.
+  options.embedding_tiering.memory_budget_bytes = n * dim * sizeof(float) / 2;
+  options.embedding_tiering.block_rows = 32;
+  options.embedding_tiering.spill_dir = dir_ + "/spill_ann";
+  FeatureStore store(options);
+  ASSERT_TRUE(store.RegisterEmbedding(table).ok());
+  ASSERT_TRUE(store.embeddings().GetLatest("emb").value()->tiered());
+
+  // Rows 0-127 are the seeded hot half; k200 is cold. The unfaulted call
+  // also builds the index, so the armed call below loads only rows.
+  const std::vector<std::string> refs = {"k200", "k3", "nope"};
+  const auto want = store.NearestEntitiesBatch("emb", refs, 4);
+  ASSERT_TRUE(want[0].ok()) << want[0].status();
+  ASSERT_TRUE(want[1].ok()) << want[1].status();
+
+  // One fire: the cold reference-row load fails, the index scan does not.
+  FailpointConfig config;
+  config.max_fires = 1;
+  ScopedFailpoint fp("embedding.tier.load", config);
+  const auto got = store.NearestEntitiesBatch("emb", refs, 4);
+  ASSERT_EQ(got.size(), 3u);
+  ASSERT_FALSE(got[0].ok());
+  EXPECT_FALSE(got[0].status().IsNotFound()) << got[0].status();
+  EXPECT_NE(got[0].status().message().find("injected fault"),
+            std::string::npos)
+      << got[0].status();
+  ASSERT_TRUE(got[1].ok()) << got[1].status();
+  EXPECT_EQ(*got[1], *want[1]);
+  EXPECT_TRUE(got[2].status().IsNotFound()) << got[2].status();
+}
+
 TEST_F(TieredEmbeddingTest, DriftPatchAlignNedAcceptTieredTables) {
   // The whole-matrix consumers materialize tiered inputs instead of
   // tripping the resident-only row()/raw() accessors.
