@@ -1,8 +1,8 @@
 // E12 — Feature-definition evaluation (paper §2.2.1).
 //
-// Reproduces: cost of the transformation DSL across its three engines —
-// the tree-walking interpreter, the compiled program's row interpreter,
-// and the vectorized bytecode VM — at batch sizes 1/64/1024, plus the two
+// Reproduces: cost of the transformation DSL in its two engines — the
+// tree-walking interpreter and the vectorized bytecode VM — at batch sizes
+// 1/64/1024 (a single compiled row is BM_BatchVM at batch 1), plus the two
 // pipelines the VM feeds: batch materialization over sealed columnar
 // segments and predicate pushdown into columnar scans (Scan with a
 // compiled predicate vs materialize-then-filter).
@@ -88,27 +88,6 @@ void BM_TreeWalk(benchmark::State& state) {
   state.SetLabel(Expression(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_TreeWalk)
-    ->ArgNames({"expr", "batch"})
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 64, 1024}});
-
-void BM_RowCompiled(benchmark::State& state) {
-  auto compiled =
-      CompiledExpr::Compile(Expression(static_cast<int>(state.range(0))),
-                            ExprSchema())
-          .value();
-  const std::vector<Row>& rows = ExprRows();
-  const size_t batch = static_cast<size_t>(state.range(1));
-  ExprScratch scratch;
-  for (auto _ : state) {
-    for (size_t r = 0; r < batch; ++r) {
-      auto v = compiled.Eval(rows[r], &scratch);
-      benchmark::DoNotOptimize(v);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-  state.SetLabel(Expression(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_RowCompiled)
     ->ArgNames({"expr", "batch"})
     ->ArgsProduct({{0, 1, 2, 3}, {1, 64, 1024}});
 
@@ -218,7 +197,8 @@ std::vector<Row> FilterRows(std::vector<Row> rows, const CompiledExpr& pred,
   return out;
 }
 
-// Reference path: materialize every latest row, then evaluate row-wise.
+// Reference path: materialize every latest row, then evaluate each row as
+// a batch of one.
 void BM_MaterializeRowAtATime(benchmark::State& state) {
   StoreFixture& f = Fixture();
   auto compiled =

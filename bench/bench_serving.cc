@@ -407,7 +407,8 @@ BENCHMARK(BM_FeatureServerBatchWide)
     ->ArgName("batch")->Arg(1)->Arg(16)->Arg(256)
     ->Threads(1)->Threads(4);
 
-// The same wide request served entity-by-entity (the old batch path).
+// The same wide request served entity-by-entity: one single-key
+// GetFeatures (a batch of one) per entity.
 void BM_FeatureServerWideLoop(benchmark::State& state) {
   auto& fixture = WideFixture();
   const size_t batch_size = static_cast<size_t>(state.range(0));

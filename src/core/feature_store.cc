@@ -244,15 +244,7 @@ std::vector<std::pair<std::string, float>> FilterSelf(
 StatusOr<std::vector<std::pair<std::string, float>>>
 FeatureStore::NearestEntities(const std::string& name,
                               const std::string& reference_key, size_t k) {
-  MLFS_ASSIGN_OR_RETURN(EmbeddingTablePtr table,
-                        embedding_store_.GetLatest(name));
-  MLFS_ASSIGN_OR_RETURN(std::shared_ptr<CachedIndex> entry,
-                        GetOrBuildAnnIndex(table));
-  MLFS_ASSIGN_OR_RETURN(const float* query, table->Get(reference_key));
-  // Ask for one extra hit since the reference itself is in the index.
-  MLFS_ASSIGN_OR_RETURN(std::vector<Neighbor> hits,
-                        entry->index->Search(query, k + 1));
-  return FilterSelf(*table, reference_key, hits, k);
+  return std::move(NearestEntitiesBatch(name, {reference_key}, k)[0]);
 }
 
 std::vector<StatusOr<std::vector<std::pair<std::string, float>>>>
@@ -282,7 +274,7 @@ FeatureStore::NearestEntitiesBatch(
   for (size_t i = 0; i < n; ++i) {
     if (rows[i] == nullptr) {
       // A null row of a key the table holds was nulled by a tier load
-      // fault, which NearestEntities would return from Get as well.
+      // fault.
       if (!fault.ok() && (*table)->IndexOf(reference_keys[i]) >= 0) {
         out[i] = fault;
       } else {

@@ -125,15 +125,15 @@ class FeatureStore {
   /// index built and cached per version). The index build happens outside
   /// the cache lock with once-per-version semantics: concurrent callers on
   /// the same version share one build, and a slow build on one embedding
-  /// never blocks lookups on another.
+  /// never blocks lookups on another. A batch of one:
+  /// NearestEntitiesBatch(name, {reference_key}, k)[0].
   StatusOr<std::vector<std::pair<std::string, float>>> NearestEntities(
       const std::string& name, const std::string& reference_key, size_t k);
 
-  /// Batched NearestEntities: entry i is reference_keys[i]'s neighbors.
-  /// One index resolve + one AnnIndex::BatchSearch for the whole batch;
-  /// entries fail independently (an unknown reference key NotFounds only
-  /// its own slot; a reference row nulled by a tier load fault gets that
-  /// fault, as NearestEntities would).
+  /// Entry i is reference_keys[i]'s neighbors. One index resolve + one
+  /// AnnIndex::BatchSearch for the whole batch; entries fail independently
+  /// (an unknown reference key NotFounds only its own slot; a reference row
+  /// nulled by a tier load fault gets that fault).
   std::vector<StatusOr<std::vector<std::pair<std::string, float>>>>
   NearestEntitiesBatch(const std::string& name,
                        const std::vector<std::string>& reference_keys,

@@ -553,51 +553,6 @@ StatusOr<std::shared_ptr<const Program>> Program::Lower(const Expr& expr,
 }
 
 // ---------------------------------------------------------------------------
-// Row path: a batch of 1 through the shared scalar runtime.
-// ---------------------------------------------------------------------------
-
-StatusOr<Value> Program::EvalRow(const Row& row, ExprScratch* scratch) const {
-  std::vector<Value>& slots = scratch->slots_;
-  slots.resize(instrs_.size());
-  for (const Instr& ins : instrs_) {
-    switch (ins.kind) {
-      case OpKind::kLoadCol:
-        slots[ins.dst] = row.value(ins.aux);
-        break;
-      case OpKind::kLoadConst:
-        slots[ins.dst] = const_pool_[ins.aux];
-        break;
-      case OpKind::kCastF64: {
-        const Value& v = slots[ins.a];
-        slots[ins.dst] =
-            v.is_null() ? Value::Null() : Value::Double(v.AsDouble().value());
-        break;
-      }
-      case OpKind::kUnary: {
-        MLFS_ASSIGN_OR_RETURN(slots[ins.dst],
-                              ApplyUnary(ins.uop, slots[ins.a]));
-        break;
-      }
-      case OpKind::kBinary: {
-        MLFS_ASSIGN_OR_RETURN(
-            slots[ins.dst], ApplyBinary(ins.bop, slots[ins.a], slots[ins.b]));
-        break;
-      }
-      case OpKind::kCall: {
-        std::vector<Value>& argv = scratch->call_args_;
-        argv.clear();
-        for (uint32_t i = 0; i < ins.arg_count; ++i) {
-          argv.push_back(slots[args_pool_[ins.arg_begin + i]]);
-        }
-        MLFS_ASSIGN_OR_RETURN(slots[ins.dst], ApplyCall(*ins.fn, argv));
-        break;
-      }
-    }
-  }
-  return slots[out_reg_];
-}
-
-// ---------------------------------------------------------------------------
 // Vector path.
 // ---------------------------------------------------------------------------
 
@@ -667,15 +622,12 @@ Status Program::EvalBatch(const BatchSource& src, ExprScratch* scratch,
   scratch->regs_.resize(instrs_.size());
   std::vector<ColumnVector>& regs = scratch->regs_;
 
-  // First failing row (ties broken by instruction order, which is
-  // evaluation order) — exactly the error a row-at-a-time loop reports.
-  size_t err_row = SIZE_MAX;
-  Status err = Status::OK();
-  auto record = [&](size_t r, Status s) {
-    if (r < err_row) {
-      err_row = r;
-      err = std::move(s);
-    }
+  // Failures in instruction order (= evaluation order), rows ascending
+  // within an instruction; a failing cell reads NULL downstream.
+  std::vector<RowError>& errors = scratch->row_errors_;
+  errors.clear();
+  auto record = [&errors](size_t r, Status s) {
+    errors.push_back({r, std::move(s)});
   };
 
   for (const Instr& ins : instrs_) {
@@ -684,8 +636,11 @@ Status Program::EvalBatch(const BatchSource& src, ExprScratch* scratch,
     const ColumnVector& B = regs[ins.b];
     switch (ins.kernel) {
       case VecKernel::kLoadCol:
-        MLFS_RETURN_IF_ERROR(
-            src.LoadColumn(static_cast<int>(ins.aux), &out));
+        if (Status s = src.LoadColumn(static_cast<int>(ins.aux), &out);
+            !s.ok()) {
+          errors.clear();
+          return s;
+        }
         break;
       case VecKernel::kLoadConst: {
         const Value& v = const_pool_[ins.aux];
@@ -1248,9 +1203,28 @@ Status Program::EvalBatch(const BatchSource& src, ExprScratch* scratch,
       }
     }
   }
-  if (err_row != SIZE_MAX) return err;
-  *result = &regs[out_reg_];
-  return Status::OK();
+  ColumnVector& out = regs[out_reg_];
+  *result = &out;
+  if (errors.empty()) return Status::OK();
+  // Keep each row's first error; a failed row's result is NULL even where
+  // a later instruction (coalesce, is_null, ...) replaced its NULL.
+  std::stable_sort(errors.begin(), errors.end(),
+                   [](const RowError& a, const RowError& b) {
+                     return a.row < b.row;
+                   });
+  errors.erase(std::unique(errors.begin(), errors.end(),
+                           [](const RowError& a, const RowError& b) {
+                             return a.row == b.row;
+                           }),
+               errors.end());
+  for (const RowError& e : errors) {
+    if (out.is_variant()) {
+      out.values()[e.row] = Value::Null();
+    } else if (out.type() != FeatureType::kNull) {
+      out.SetNull(e.row);
+    }
+  }
+  return errors.front().status;
 }
 
 }  // namespace mlfs

@@ -17,10 +17,10 @@ namespace expr_internal {
 struct FunctionSpec;
 }  // namespace expr_internal
 
-/// Shape of an instruction — what the row path (and the VM's generic
-/// per-row kernels) dispatch on. Each shape re-applies the same shared
-/// runtime (ApplyUnary/ApplyBinary/ApplyCall) the tree-walking interpreter
-/// uses, which is what keeps the compiled paths bit-identical with it.
+/// Shape of an instruction — what the VM's generic per-row kernel
+/// dispatches on. Each shape re-applies the same shared runtime
+/// (ApplyUnary/ApplyBinary/ApplyCall) the tree-walking interpreter uses,
+/// which is what keeps the VM bit-identical with it.
 enum class OpKind : uint8_t {
   kLoadCol,    // dst = row[aux]
   kLoadConst,  // dst = const_pool[aux]
@@ -116,10 +116,17 @@ struct Instr {
   bool out_variant = false;  // per-row dynamic type; see ColumnVector
 };
 
-/// Reusable per-caller evaluation scratch: VM registers for the batch path
-/// and value slots for the row path. Passing the same scratch to repeated
-/// EvalBatch calls reuses every buffer allocation-free. A scratch must not
-/// be shared across threads.
+/// One failing row of an EvalBatch call: its index in the batch and its
+/// first error in evaluation order.
+struct RowError {
+  size_t row = 0;
+  Status status;
+};
+
+/// Reusable per-caller evaluation scratch: the VM registers, plus the
+/// per-row errors of the last EvalBatch. Passing the same scratch to
+/// repeated EvalBatch calls reuses every buffer allocation-free. A scratch
+/// must not be shared across threads.
 class ExprScratch {
  public:
   ExprScratch() = default;
@@ -131,18 +138,23 @@ class ExprScratch {
   /// Only benchmarks and differential tests set this.
   void set_disable_dict_fastpath(bool v) { disable_dict_fastpath_ = v; }
 
+  /// Every row the last EvalBatch failed, ascending by row, each with that
+  /// row's first error. Empty when every row evaluated (or a column load
+  /// failed the whole call).
+  const std::vector<RowError>& row_errors() const { return row_errors_; }
+
  private:
   friend class Program;
   const void* program_ = nullptr;
   std::vector<ColumnVector> regs_;
-  std::vector<Value> slots_;
   std::vector<Value> call_args_;
   std::vector<uint8_t> dict_table_;  // code -> comparison result, reused
+  std::vector<RowError> row_errors_;
   bool disable_dict_fastpath_ = false;
 };
 
-/// A type-checked expression lowered to flat register bytecode, executable
-/// either row-at-a-time (EvalRow) or a column batch at a time (EvalBatch).
+/// A type-checked expression lowered to flat register bytecode, executed a
+/// column batch at a time (EvalBatch; a single row is a batch of one).
 /// Lowering constant-folds literal-only subtrees (unless folding would
 /// raise — those keep their runtime error) and value-numbers instructions
 /// so repeated column loads and common subexpressions evaluate once.
@@ -158,14 +170,15 @@ class Program {
   const std::vector<Instr>& instrs() const { return instrs_; }
   const std::vector<Value>& const_pool() const { return const_pool_; }
 
-  /// Evaluates one row (a batch of 1, through the shared scalar runtime).
-  StatusOr<Value> EvalRow(const Row& row, ExprScratch* scratch) const;
-
-  /// Evaluates every row of `src` in one pass over the bytecode. On
-  /// success `*out` points at the result column (owned by `scratch`,
-  /// valid until its next use). On error, returns the error of the first
-  /// failing row (ties broken by evaluation order within the row) —
-  /// exactly what a row-at-a-time loop would have reported first.
+  /// Evaluates every row of `src` in one pass over the bytecode. Rows fail
+  /// independently: a failing row's result cell is NULL, and
+  /// scratch->row_errors() lists every failing row with its first error
+  /// (in evaluation order) — what evaluating that row alone reports. The
+  /// return value is the lowest failing row's error, OK when none failed.
+  /// Once the columns have loaded, `*out` points at the result column
+  /// (owned by `scratch`, valid until its next use) whether or not rows
+  /// failed; a column-load failure fails the whole call and leaves `*out`
+  /// unset.
   Status EvalBatch(const BatchSource& src, ExprScratch* scratch,
                    const ColumnVector** out) const;
 

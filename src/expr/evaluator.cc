@@ -758,7 +758,16 @@ StatusOr<CompiledExpr> CompiledExpr::Compile(std::string_view source,
 
 StatusOr<Value> CompiledExpr::Eval(const Row& row) const {
   thread_local ExprScratch scratch;
-  return program_->EvalRow(row, &scratch);
+  return Eval(row, &scratch);
+}
+
+StatusOr<Value> CompiledExpr::Eval(const Row& row,
+                                   ExprScratch* scratch) const {
+  const Row* rows[] = {&row};
+  const ColumnVector* out = nullptr;
+  MLFS_RETURN_IF_ERROR(
+      EvalBatch(RowPtrBatchSource(schema(), rows), scratch, &out));
+  return out->GetValue(0);
 }
 
 std::vector<std::string> BuiltinFunctionNames() {

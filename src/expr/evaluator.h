@@ -37,10 +37,10 @@ StatusOr<Value> EvalExpr(const Expr& expr, const Row& row);
 /// An expression type-checked against a schema and lowered to flat register
 /// bytecode (expr/bytecode.h): column references are resolved to indices,
 /// literal-only subtrees are constant-folded, and repeated column loads /
-/// common subexpressions are deduplicated. Evaluate row-at-a-time with
-/// Eval, or a column batch at a time with EvalBatch — the vectorized path
-/// used by materialization, windowed aggregation, slice monitoring and
-/// columnar scan pushdown.
+/// common subexpressions are deduplicated. EvalBatch evaluates a column
+/// batch at a time — the one engine behind materialization, windowed
+/// aggregation, slice monitoring, columnar scan pushdown and serving; Eval
+/// is a batch of one.
 class CompiledExpr {
  public:
   /// Type-checks `expr` against `schema` and lowers it to bytecode.
@@ -50,13 +50,11 @@ class CompiledExpr {
   static StatusOr<CompiledExpr> Compile(std::string_view source,
                                         SchemaPtr schema);
 
-  /// Evaluates against a row of the bound schema.
+  /// Evaluates against a row of the bound schema, as a batch of one.
   StatusOr<Value> Eval(const Row& row) const;
 
   /// As above, with caller-owned scratch (avoids the thread-local).
-  StatusOr<Value> Eval(const Row& row, ExprScratch* scratch) const {
-    return program_->EvalRow(row, scratch);
-  }
+  StatusOr<Value> Eval(const Row& row, ExprScratch* scratch) const;
 
   /// Evaluates every row of `src` in one vectorized pass; see
   /// Program::EvalBatch for the result/error contract.

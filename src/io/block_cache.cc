@@ -6,7 +6,7 @@
 namespace mlfs {
 
 BlockCache::BlockCache(size_t num_blocks, size_t capacity) {
-  slots_.resize(num_blocks);
+  blocks_.resize(num_blocks);
   capacity_ = std::min(capacity, num_blocks);
 }
 
@@ -22,20 +22,20 @@ uint64_t BlockCache::BeginBatch() {
 
 BlockCache::Payload BlockCache::Touch(size_t block, uint64_t stamp) {
   std::lock_guard<std::mutex> lock(mu_);
-  Slot& slot = slots_[block];
+  Slot& slot = blocks_[block];
   slot.stamp = stamp;
   return slot.payload;
 }
 
 BlockCache::Payload BlockCache::Peek(size_t block) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return slots_[block].payload;
+  return blocks_[block].payload;
 }
 
 bool BlockCache::Insert(size_t block, Payload payload, size_t bytes,
                         uint64_t stamp, bool count_promotion) {
   std::lock_guard<std::mutex> lock(mu_);
-  Slot& slot = slots_[block];
+  Slot& slot = blocks_[block];
   slot.stamp = stamp;
   if (slot.payload != nullptr || capacity_ == 0) return false;
   slot.payload = std::move(payload);
@@ -57,16 +57,16 @@ void BlockCache::EvictOverCapacityLocked() {
   // Linear min-stamp scan: the slot universe is small (rows / block_rows)
   // and eviction only runs on inserts past the budget.
   while (resident_ > capacity_) {
-    size_t victim = slots_.size();
+    size_t victim = blocks_.size();
     uint64_t oldest = std::numeric_limits<uint64_t>::max();
-    for (size_t b = 0; b < slots_.size(); ++b) {
-      if (slots_[b].payload != nullptr && slots_[b].stamp < oldest) {
-        oldest = slots_[b].stamp;
+    for (size_t b = 0; b < blocks_.size(); ++b) {
+      if (blocks_[b].payload != nullptr && blocks_[b].stamp < oldest) {
+        oldest = blocks_[b].stamp;
         victim = b;
       }
     }
-    if (victim == slots_.size()) break;
-    Slot& slot = slots_[victim];
+    if (victim == blocks_.size()) break;
+    Slot& slot = blocks_[victim];
     slot.payload.reset();
     resident_bytes_ -= slot.bytes;
     slot.bytes = 0;
@@ -77,7 +77,7 @@ void BlockCache::EvictOverCapacityLocked() {
 
 void BlockCache::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = std::min(capacity, slots_.size());
+  capacity_ = std::min(capacity, blocks_.size());
   EvictOverCapacityLocked();
 }
 
@@ -96,9 +96,9 @@ BlockCache::ResidentSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<uint32_t, Payload>> out;
   out.reserve(resident_);
-  for (size_t b = 0; b < slots_.size(); ++b) {
-    if (slots_[b].payload != nullptr) {
-      out.emplace_back(static_cast<uint32_t>(b), slots_[b].payload);
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    if (blocks_[b].payload != nullptr) {
+      out.emplace_back(static_cast<uint32_t>(b), blocks_[b].payload);
     }
   }
   return out;
@@ -113,7 +113,7 @@ BlockCacheStats BlockCache::stats() const {
   s.evictions = evictions_;
   s.resident_blocks = resident_;
   s.capacity_blocks = capacity_;
-  s.num_blocks = slots_.size();
+  s.num_blocks = blocks_.size();
   s.resident_bytes = resident_bytes_;
   return s;
 }

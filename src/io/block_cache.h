@@ -94,7 +94,7 @@ class BlockCache {
 
   size_t capacity() const;
   size_t resident() const;
-  size_t num_blocks() const { return slots_.size(); }
+  size_t num_blocks() const { return blocks_.size(); }
 
   /// Current resident blocks as (block id, payload) pairs in ascending
   /// block order — the mutable half of a snapshot.
@@ -114,7 +114,7 @@ class BlockCache {
   void EvictOverCapacityLocked();
 
   mutable std::mutex mu_;
-  std::vector<Slot> slots_;
+  std::vector<Slot> blocks_;
   size_t capacity_ = 0;
   size_t resident_ = 0;
   size_t resident_bytes_ = 0;

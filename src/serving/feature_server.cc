@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/failpoint.h"
-#include "common/threadpool.h"
 #include "expr/bytecode.h"
 #include "expr/parser.h"
 #include "registry/registry.h"
@@ -32,13 +31,6 @@ bool IsTransient(const Status& s) {
   }
 }
 
-/// Why an embedding feature has no value: the tier's load fault, or no
-/// row for the entity.
-std::string EmbeddingMissMessage(const Status& fault, const Value& entity) {
-  return fault.ok() ? "no embedding for entity " + entity.ToString()
-                    : fault.message();
-}
-
 /// Stable per-thread stripe assignment: threads round-robin onto stripes at
 /// first use, so steady-state recording from a fixed reader pool is
 /// contention-free.
@@ -48,6 +40,124 @@ size_t ThreadStripeSeed() {
       next.fetch_add(1, std::memory_order_relaxed);
   return seed;
 }
+
+/// One requested feature's value for one entity, with the event time it
+/// was computed or materialized at.
+struct Cell {
+  Value value;
+  Timestamp event_time = kMaxTimestamp;
+};
+using Cells = std::vector<StatusOr<Cell>>;
+
+/// Cells of a materialized view {entity, event_time, value}. A view
+/// without that layout fails every entity it has a row for.
+Cells ViewCells(const std::string& view,
+                const std::vector<StatusOr<Row>>& rows) {
+  Cells cells;
+  cells.reserve(rows.size());
+  // {value, event_time} field indices, from the first live row: a view's
+  // rows share its schema.
+  std::optional<std::pair<int, int>> layout;
+  for (const StatusOr<Row>& row : rows) {
+    if (!row.ok()) {
+      cells.emplace_back(row.status());
+      continue;
+    }
+    if (!layout.has_value()) {
+      layout.emplace(row->schema()->FieldIndex("value"),
+                     row->schema()->FieldIndex("event_time"));
+    }
+    const auto [value_idx, time_idx] = *layout;
+    if (value_idx < 0 || time_idx < 0) {
+      cells.emplace_back(Status::FailedPrecondition(
+          "view '" + view + "' is not a materialized feature view"));
+      continue;
+    }
+    cells.emplace_back(
+        Cell{row->value(value_idx), row->value(time_idx).time_value()});
+  }
+  return cells;
+}
+
+/// Cells of an embedding feature from one EmbeddingTable::MultiGet. Found
+/// rows are copied out at once: a tiered table's row pointers only live
+/// until the thread's next tiered read.
+Cells EmbeddingCells(const EmbeddingTable& table,
+                     const std::vector<Value>& keys) {
+  // Non-string keys stay "", which no table key matches (embedding keys
+  // are non-empty by construction) — a plain miss.
+  std::vector<std::string> string_keys(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].type() == FeatureType::kString) {
+      string_keys[i] = keys[i].string_value();
+    }
+  }
+  Status fault;  // A tier load fault, as opposed to a missing key.
+  const std::vector<const float*> rows = table.MultiGet(string_keys, &fault);
+  Cells cells;
+  cells.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (rows[i] != nullptr) {
+      cells.emplace_back(Cell{
+          Value::Embedding(std::vector<float>(rows[i], rows[i] + table.dim())),
+          table.metadata().created_at});
+    } else if (!fault.ok() && table.IndexOf(string_keys[i]) >= 0) {
+      cells.emplace_back(fault);  // A held key's row nulled by the fault.
+    } else {
+      cells.emplace_back(
+          Status::NotFound("no embedding for entity " + keys[i].ToString()));
+    }
+  }
+  return cells;
+}
+
+/// Cells of a computed feature: `program` over each entity's mirror row
+/// in one EvalBatch. A row whose evaluation fails carries its own error.
+Cells ComputedCells(const Program& program, const std::string& time_column,
+                    const std::vector<StatusOr<Row>>& mirror) {
+  std::vector<const Row*> rows;
+  rows.reserve(mirror.size());
+  for (const StatusOr<Row>& row : mirror) {
+    if (row.ok()) rows.push_back(&*row);
+  }
+  ExprScratch scratch;
+  const ColumnVector* values = nullptr;
+  Status load;  // A column-load failure fails every found row.
+  if (!rows.empty()) {
+    Status s = program.EvalBatch(RowPtrBatchSource(program.schema(), rows),
+                                 &scratch, &values);
+    if (values == nullptr) load = std::move(s);
+  }
+  const int time_idx = program.schema()->FieldIndex(time_column);
+  auto error = scratch.row_errors().begin();
+  Cells cells;
+  cells.reserve(mirror.size());
+  size_t k = 0;  // Index into `rows`.
+  for (const StatusOr<Row>& row : mirror) {
+    if (!row.ok()) {
+      cells.emplace_back(row.status());
+      continue;
+    }
+    if (!load.ok()) {
+      cells.emplace_back(load);
+    } else if (error != scratch.row_errors().end() && error->row == k) {
+      cells.emplace_back((error++)->status);
+    } else {
+      cells.emplace_back(Cell{values->GetValue(k),
+                              time_idx >= 0 ? row->value(time_idx).time_value()
+                                            : kMaxTimestamp});
+    }
+    ++k;
+  }
+  return cells;
+}
+
+/// One requested feature's column of a batch: a cell per entity, plus the
+/// staleness annotation every entity's response carries.
+struct FeatureColumn {
+  std::string stale_note;
+  Cells cells;
+};
 
 }  // namespace
 
@@ -61,11 +171,7 @@ FeatureServer::FeatureServer(const OnlineStore* store,
       lineage_(lineage),
       registry_(registry),
       options_(options),
-      metrics_(kMetricsStripes) {
-  if (options_.batch_parallelism > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.batch_parallelism);
-  }
-}
+      metrics_(kMetricsStripes) {}
 
 EmbeddingTablePtr FeatureServer::ResolveEmbeddingFeature(
     const std::string& feature) const {
@@ -131,8 +237,6 @@ std::shared_ptr<const Program> FeatureServer::CompiledProgramFor(
   return compile_cache_.emplace(key, std::move(*program)).first->second;
 }
 
-FeatureServer::~FeatureServer() = default;
-
 void FeatureServer::RecordLatency(double micros,
                                   uint64_t num_requests) const {
   MetricsStripe& stripe = metrics_[ThreadStripeSeed() % kMetricsStripes];
@@ -141,146 +245,33 @@ void FeatureServer::RecordLatency(double micros,
   stripe.requests += num_requests;
 }
 
-StatusOr<FeatureVector> FeatureServer::GetFeatures(
-    const Value& entity_key, const std::vector<std::string>& features,
+std::vector<StatusOr<Row>> FeatureServer::FetchRows(
+    const std::string& view, const std::vector<Value>& keys,
     Timestamp now) const {
-  MLFS_FAILPOINT("feature_server.get");
-  const double start = NowMicros();
+  std::vector<StatusOr<Row>> rows = store_->MultiGet(view, keys, now);
   const uint32_t max_attempts = std::max<uint32_t>(1, options_.max_attempts);
   uint64_t retries = 0;
-  FeatureVector out;
-  out.names = features;
-  out.values.reserve(features.size());
-  for (const std::string& feature : features) {
-    if (EmbeddingTablePtr table = ResolveEmbeddingFeature(feature)) {
-      if (std::string note = StaleNote(feature, table); !note.empty()) {
-        out.stale.push_back(std::move(note));
-      }
-      const float* vec = nullptr;
-      Status fault;  // A tier load fault, as opposed to a missing key.
-      if (entity_key.type() == FeatureType::kString) {
-        auto lookup = table->Get(entity_key.string_value());
-        if (lookup.ok()) {
-          vec = *lookup;
-        } else if (!lookup.status().IsNotFound()) {
-          fault = lookup.status();
-        }
-      }
-      if (vec == nullptr) {
-        if (options_.missing_policy == MissingFeaturePolicy::kError) {
-          retries_.fetch_add(retries, std::memory_order_relaxed);
-          return Status::NotFound("feature '" + feature + "' unavailable: " +
-                                  EmbeddingMissMessage(fault, entity_key));
-        }
-        out.values.push_back(Value::Null());
-        ++out.missing;
-        if (IsTransient(fault)) ++out.degraded;
-        continue;
-      }
-      out.values.push_back(
-          Value::Embedding(std::vector<float>(vec, vec + table->dim())));
-      out.oldest_event_time =
-          std::min(out.oldest_event_time, table->metadata().created_at);
-      continue;
-    }
-    if (std::optional<ComputedFeature> comp = ResolveComputedFeature(feature)) {
-      if (std::string note = StaleNoteArtifact(
-              feature, FeatureArtifact(comp->reg.def.name, comp->reg.version));
-          !note.empty()) {
-        out.stale.push_back(std::move(note));
-      }
-      StatusOr<Row> row =
-          comp->program != nullptr
-              ? store_->Get(comp->mirror_view, entity_key, now)
-              : StatusOr<Row>(Status::NotFound("no source rows ingested for '" +
-                                               comp->reg.def.source_table +
-                                               "'"));
-      for (uint32_t attempt = 1;
-           !row.ok() && IsTransient(row.status()) && attempt < max_attempts;
-           ++attempt) {
-        if (options_.initial_backoff_micros > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              options_.initial_backoff_micros << (attempt - 1)));
-        }
-        ++retries;
-        row = store_->Get(comp->mirror_view, entity_key, now);
-      }
-      bool transient = false;
-      StatusOr<Value> value = [&]() -> StatusOr<Value> {
-        if (!row.ok()) {
-          transient = IsTransient(row.status());
-          return row.status();
-        }
-        ExprScratch scratch;
-        return comp->program->EvalRow(*row, &scratch);
-      }();
-      if (!value.ok()) {
-        if (options_.missing_policy == MissingFeaturePolicy::kError) {
-          retries_.fetch_add(retries, std::memory_order_relaxed);
-          return Status::NotFound("feature '" + feature +
-                                  "' unavailable: " + value.status().message());
-        }
-        out.values.push_back(Value::Null());
-        ++out.missing;
-        if (transient) ++out.degraded;  // Retries exhausted, not a miss.
-        continue;
-      }
-      // A NULL result of a live evaluation is the feature's value, not a
-      // miss — exactly what the materializer would have logged.
-      out.values.push_back(std::move(*value));
-      const int time_idx =
-          row->schema()->FieldIndex(comp->reg.source_time_column);
-      if (time_idx >= 0) {
-        out.oldest_event_time =
-            std::min(out.oldest_event_time, row->value(time_idx).time_value());
-      }
-      continue;
-    }
-    if (std::string note = StaleNote(feature, nullptr); !note.empty()) {
-      out.stale.push_back(std::move(note));
-    }
-    StatusOr<Row> row = store_->Get(feature, entity_key, now);
-    for (uint32_t attempt = 1;
-         !row.ok() && IsTransient(row.status()) && attempt < max_attempts;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (uint32_t attempt = 1; !rows[i].ok() &&
+                               IsTransient(rows[i].status()) &&
+                               attempt < max_attempts;
          ++attempt) {
       if (options_.initial_backoff_micros > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(
             options_.initial_backoff_micros << (attempt - 1)));
       }
       ++retries;
-      row = store_->Get(feature, entity_key, now);
+      rows[i] = store_->Get(view, keys[i], now);
     }
-    if (!row.ok()) {
-      const bool transient = IsTransient(row.status());
-      if (options_.missing_policy == MissingFeaturePolicy::kError) {
-        retries_.fetch_add(retries, std::memory_order_relaxed);
-        return Status::NotFound("feature '" + feature +
-                                "' unavailable: " + row.status().message());
-      }
-      out.values.push_back(Value::Null());
-      ++out.missing;
-      if (transient) ++out.degraded;  // Retries exhausted, not a miss.
-      continue;
-    }
-    // Materialized views have layout {entity, event_time, value}.
-    int value_idx = row->schema()->FieldIndex("value");
-    int time_idx = row->schema()->FieldIndex("event_time");
-    if (value_idx < 0 || time_idx < 0) {
-      retries_.fetch_add(retries, std::memory_order_relaxed);
-      return Status::FailedPrecondition(
-          "view '" + feature + "' is not a materialized feature view");
-    }
-    out.values.push_back(row->value(value_idx));
-    out.oldest_event_time =
-        std::min(out.oldest_event_time, row->value(time_idx).time_value());
   }
-  retries_.fetch_add(retries, std::memory_order_relaxed);
-  if (out.degraded > 0) {
-    degraded_features_.fetch_add(out.degraded, std::memory_order_relaxed);
-    degraded_responses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  RecordLatency(NowMicros() - start, 1);
-  return out;
+  if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
+  return rows;
+}
+
+StatusOr<FeatureVector> FeatureServer::GetFeatures(
+    const Value& entity_key, const std::vector<std::string>& features,
+    Timestamp now) const {
+  return std::move(GetFeaturesBatch({entity_key}, features, now)[0]);
 }
 
 std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
@@ -288,294 +279,98 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
     const std::vector<std::string>& features, Timestamp now) const {
   const double start = NowMicros();
   const size_t n = entity_keys.size();
-  const size_t num_views = features.size();
-  std::vector<StatusOr<FeatureVector>> out(
-      n, StatusOr<FeatureVector>(
-             Status::Internal("GetFeaturesBatch: slot not filled")));
+  std::vector<StatusOr<FeatureVector>> out;
   if (n == 0) return out;
-  const uint32_t max_attempts = std::max<uint32_t>(1, options_.max_attempts);
+  out.reserve(n);
 
-  // Stage 1 — fetch: one shard-grouped MultiGet per requested view, then
-  // per-(entity, feature)-cell retry with backoff for transient errors.
-  // Views are independent, so with batch_parallelism > 1 they fan out over
-  // the pool; each task writes only its own column.
-  std::vector<std::vector<StatusOr<Row>>> columns(num_views);
-  // {value, event_time} field indices per view, from its first live row;
-  // {-1, -1} when the view never produced a row in this batch.
-  std::vector<std::pair<int, int>> layout(num_views, {-1, -1});
-  // Views that hydrate straight from an embedding table: one
-  // EmbeddingTable::MultiGet per view, no online-store traffic. A null
-  // table means view j goes through the online path.
-  struct EmbeddingColumn {
-    EmbeddingTablePtr table;
-    std::vector<const float*> rows;  // Null = missing key or load fault.
-    /// The tier load fault that nulled this column's cold rows, if any.
-    Status fault;
-    /// Owned copies of the found rows when `table` is tiered: tier
-    /// pointers only survive until the serving thread's next tiered read,
-    /// and assembly (stage 2) runs after other views' fetches.
-    std::vector<float> storage;
-  };
-  std::vector<EmbeddingColumn> emb_columns(num_views);
-  // Per-view staleness annotation, shared by every entity in the batch.
-  std::vector<std::string> stale_notes(num_views);
-
-  // Serving-time computed features: registered definitions with no
-  // materialized view evaluate here, over each entity's latest raw source
-  // row. One shard-grouped mirror-view MultiGet per distinct source table
-  // (shared across computed features of that table), then one vectorized
-  // EvalBatch per feature over the rows found. Mirror fetches and
-  // evaluation run before the parallel view stage.
-  struct ComputedColumn {
-    std::optional<ComputedFeature> comp;
-    std::vector<StatusOr<Value>> cells;  // Per entity: value or status.
-    std::vector<Timestamp> event_times;  // kMaxTimestamp where not found.
-  };
-  std::vector<ComputedColumn> computed(num_views);
-  std::unordered_map<std::string, std::vector<StatusOr<Row>>> mirror_columns;
-  if (registry_ != nullptr) {
-    for (size_t j = 0; j < num_views; ++j) {
-      computed[j].comp = ResolveComputedFeature(features[j]);
-      if (!computed[j].comp.has_value()) continue;
-      stale_notes[j] = StaleNoteArtifact(
-          features[j], FeatureArtifact(computed[j].comp->reg.def.name,
-                                       computed[j].comp->reg.version));
-      if (computed[j].comp->program != nullptr) {
-        mirror_columns.try_emplace(computed[j].comp->mirror_view);
+  // Stage 1 — fetch: each requested feature becomes one column of cells
+  // for the whole batch. Computed features share one mirror fetch per
+  // source table.
+  std::vector<FeatureColumn> columns(features.size());
+  std::unordered_map<std::string, std::vector<StatusOr<Row>>> mirrors;
+  for (size_t j = 0; j < features.size(); ++j) {
+    const std::string& feature = features[j];
+    FeatureColumn& column = columns[j];
+    if (std::optional<ComputedFeature> comp = ResolveComputedFeature(feature)) {
+      column.stale_note = StaleNoteArtifact(
+          feature, FeatureArtifact(comp->reg.def.name, comp->reg.version));
+      if (comp->program == nullptr) {  // Mirror view does not exist yet.
+        column.cells.assign(
+            n, Status::NotFound("no source rows ingested for '" +
+                                comp->reg.def.source_table + "'"));
+        continue;
       }
-    }
-    for (auto& [view, column] : mirror_columns) {
-      column = store_->MultiGet(view, entity_keys, now);
-      uint64_t retries = 0;
-      for (size_t i = 0; i < n; ++i) {
-        StatusOr<Row>& cell = column[i];
-        for (uint32_t attempt = 1; !cell.ok() && IsTransient(cell.status()) &&
-                                   attempt < max_attempts;
-             ++attempt) {
-          if (options_.initial_backoff_micros > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                options_.initial_backoff_micros << (attempt - 1)));
-          }
-          ++retries;
-          cell = store_->Get(view, entity_keys[i], now);
-        }
+      auto [mirror, fresh] = mirrors.try_emplace(comp->mirror_view);
+      if (fresh) {
+        mirror->second = FetchRows(comp->mirror_view, entity_keys, now);
       }
-      if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
-    }
-    for (size_t j = 0; j < num_views; ++j) {
-      ComputedColumn& cc = computed[j];
-      if (!cc.comp.has_value()) continue;
-      const Program* program = cc.comp->program.get();
-      cc.cells.assign(
-          n, StatusOr<Value>(Status::NotFound(
-                 "no source rows ingested for '" +
-                 cc.comp->reg.def.source_table + "'")));
-      cc.event_times.assign(n, kMaxTimestamp);
-      if (program == nullptr) continue;  // Mirror view does not exist yet.
-      const std::vector<StatusOr<Row>>& mirror =
-          mirror_columns[cc.comp->mirror_view];
-      std::vector<const Row*> rows;
-      std::vector<size_t> row_index;
-      rows.reserve(n);
-      row_index.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (!mirror[i].ok()) {
-          cc.cells[i] = mirror[i].status();
-          continue;
-        }
-        rows.push_back(&*mirror[i]);
-        row_index.push_back(i);
-      }
-      if (rows.empty()) continue;
-      ExprScratch scratch;
-      RowPtrBatchSource batch_src(program->schema(), rows);
-      const ColumnVector* res = nullptr;
-      if (Status batch = program->EvalBatch(batch_src, &scratch, &res);
-          batch.ok()) {
-        for (size_t k = 0; k < rows.size(); ++k) {
-          cc.cells[row_index[k]] = res->GetValue(k);
-        }
-      } else {
-        // One failing row poisons the whole batch result; re-run the
-        // found rows one at a time so each entity carries its own status
-        // (bit-identical — EvalBatch reports what EvalRow would).
-        for (size_t k = 0; k < rows.size(); ++k) {
-          cc.cells[row_index[k]] = program->EvalRow(*rows[k], &scratch);
-        }
-      }
-      const int time_idx = program->schema()->FieldIndex(
-          cc.comp->reg.source_time_column);
-      if (time_idx >= 0) {
-        for (size_t k = 0; k < rows.size(); ++k) {
-          cc.event_times[row_index[k]] =
-              rows[k]->value(time_idx).time_value();
-        }
-      }
+      column.cells = ComputedCells(*comp->program,
+                                   comp->reg.source_time_column,
+                                   mirror->second);
+    } else if (EmbeddingTablePtr table = ResolveEmbeddingFeature(feature)) {
+      column.stale_note = StaleNote(feature, table);
+      column.cells = EmbeddingCells(*table, entity_keys);
+    } else {
+      column.stale_note = StaleNote(feature, nullptr);
+      column.cells = ViewCells(feature, FetchRows(feature, entity_keys, now));
     }
   }
 
-  auto fetch_view = [&](size_t j) {
-    if (computed[j].comp.has_value()) return;  // Evaluated above.
-    if (EmbeddingTablePtr table = ResolveEmbeddingFeature(features[j])) {
-      EmbeddingColumn& emb = emb_columns[j];
-      emb.table = std::move(table);
-      stale_notes[j] = StaleNote(features[j], emb.table);
-      std::vector<std::string> string_keys(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (entity_keys[i].type() == FeatureType::kString) {
-          string_keys[i] = entity_keys[i].string_value();
-        }
-        // Non-string keys keep "", which no table key matches (embedding
-        // keys are non-empty by construction) — a plain miss.
-      }
-      emb.rows = emb.table->MultiGet(string_keys, &emb.fault);
-      if (emb.table->tiered()) {
-        const size_t dim = emb.table->dim();
-        emb.storage.resize(n * dim);
-        for (size_t i = 0; i < n; ++i) {
-          if (emb.rows[i] == nullptr) continue;
-          float* dst = emb.storage.data() + i * dim;
-          std::copy(emb.rows[i], emb.rows[i] + dim, dst);
-          emb.rows[i] = dst;
-        }
-      }
-      return;
-    }
-    stale_notes[j] = StaleNote(features[j], nullptr);
-    std::vector<StatusOr<Row>>& column = columns[j];
-    column = store_->MultiGet(features[j], entity_keys, now);
-    uint64_t retries = 0;
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<Row>& cell = column[i];
-      for (uint32_t attempt = 1;
-           !cell.ok() && IsTransient(cell.status()) && attempt < max_attempts;
-           ++attempt) {
-        if (options_.initial_backoff_micros > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              options_.initial_backoff_micros << (attempt - 1)));
-        }
-        ++retries;
-        cell = store_->Get(features[j], entity_keys[i], now);
-      }
-      if (cell.ok() && layout[j].first < 0) {
-        layout[j] = {cell->schema()->FieldIndex("value"),
-                     cell->schema()->FieldIndex("event_time")};
-      }
-    }
-    if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
-  };
-  if (pool_ != nullptr && num_views > 1) {
-    ParallelFor(pool_.get(), 0, num_views,
-                [&fetch_view](size_t j) { fetch_view(j); });
-  } else {
-    for (size_t j = 0; j < num_views; ++j) fetch_view(j);
-  }
-
-  // Stage 2 — assemble one FeatureVector per entity from the fetched
-  // columns. Entities fail independently: kError fails only the entity
-  // whose feature is unavailable.
+  // Stage 2 — assemble one FeatureVector per entity from the columns.
+  // Entities fail independently: kError fails only the entity whose
+  // feature is unavailable.
   const bool any_failpoint = FailpointRegistry::Instance().AnyArmed();
   uint64_t degraded_features = 0, degraded_responses = 0;
   for (size_t i = 0; i < n; ++i) {
     if (any_failpoint) {
-      // Per-request failpoint, one evaluation per entity, as in the
-      // per-entity GetFeatures path.
+      // The per-request failpoint, one evaluation per entity.
       Status injected =
           FailpointRegistry::Instance().Evaluate("feature_server.get");
       if (!injected.ok()) {
-        out[i] = std::move(injected);
+        out.emplace_back(std::move(injected));
         continue;
       }
     }
     FeatureVector fv;
     fv.names = features;
-    fv.values.reserve(num_views);
-    for (size_t j = 0; j < num_views; ++j) {
-      if (!stale_notes[j].empty()) fv.stale.push_back(stale_notes[j]);
+    fv.values.reserve(features.size());
+    for (const FeatureColumn& column : columns) {
+      if (!column.stale_note.empty()) fv.stale.push_back(column.stale_note);
     }
     Status entity_error;
-    for (size_t j = 0; j < num_views; ++j) {
-      if (emb_columns[j].table != nullptr) {
-        const EmbeddingColumn& emb = emb_columns[j];
-        const float* vec = emb.rows[i];
-        if (vec == nullptr) {
-          // A null row of a key the table holds was nulled by the fault.
-          const bool faulted =
-              !emb.fault.ok() &&
-              entity_keys[i].type() == FeatureType::kString &&
-              emb.table->IndexOf(entity_keys[i].string_value()) >= 0;
-          const Status fault = faulted ? emb.fault : Status::OK();
-          if (options_.missing_policy == MissingFeaturePolicy::kError) {
-            entity_error = Status::NotFound(
-                "feature '" + features[j] + "' unavailable: " +
-                EmbeddingMissMessage(fault, entity_keys[i]));
-            break;
-          }
-          fv.values.push_back(Value::Null());
-          ++fv.missing;
-          if (IsTransient(fault)) ++fv.degraded;
-          continue;
-        }
-        fv.values.push_back(Value::Embedding(
-            std::vector<float>(vec, vec + emb.table->dim())));
-        fv.oldest_event_time = std::min(fv.oldest_event_time,
-                                        emb.table->metadata().created_at);
-        continue;
-      }
-      if (computed[j].comp.has_value()) {
-        const StatusOr<Value>& cell = computed[j].cells[i];
-        if (!cell.ok()) {
-          const bool transient = IsTransient(cell.status());
-          if (options_.missing_policy == MissingFeaturePolicy::kError) {
-            entity_error =
-                Status::NotFound("feature '" + features[j] +
-                                 "' unavailable: " + cell.status().message());
-            break;
-          }
-          fv.values.push_back(Value::Null());
-          ++fv.missing;
-          if (transient) ++fv.degraded;
-          continue;
-        }
-        // A NULL evaluation result is the feature's value, not a miss.
-        fv.values.push_back(*cell);
+    for (size_t j = 0; j < features.size(); ++j) {
+      StatusOr<Cell>& cell = columns[j].cells[i];
+      if (cell.ok()) {
+        // A NULL value (e.g. a computed NULL) is a value, not a miss.
+        fv.values.push_back(std::move(cell->value));
         fv.oldest_event_time =
-            std::min(fv.oldest_event_time, computed[j].event_times[i]);
+            std::min(fv.oldest_event_time, cell->event_time);
         continue;
       }
-      const StatusOr<Row>& cell = columns[j][i];
-      if (!cell.ok()) {
-        const bool transient = IsTransient(cell.status());
-        if (options_.missing_policy == MissingFeaturePolicy::kError) {
-          entity_error =
-              Status::NotFound("feature '" + features[j] +
-                               "' unavailable: " + cell.status().message());
-          break;
-        }
-        fv.values.push_back(Value::Null());
-        ++fv.missing;
-        if (transient) ++fv.degraded;
-        continue;
-      }
-      const auto [value_idx, time_idx] = layout[j];
-      if (value_idx < 0 || time_idx < 0) {
-        entity_error = Status::FailedPrecondition(
-            "view '" + features[j] + "' is not a materialized feature view");
+      Status why = cell.status();
+      if (why.IsFailedPrecondition()) {
+        entity_error = std::move(why);  // Not a feature view: no policy.
         break;
       }
-      fv.values.push_back(cell->value(value_idx));
-      fv.oldest_event_time =
-          std::min(fv.oldest_event_time, cell->value(time_idx).time_value());
+      if (options_.missing_policy == MissingFeaturePolicy::kError) {
+        entity_error = Status::NotFound("feature '" + features[j] +
+                                        "' unavailable: " + why.message());
+        break;
+      }
+      fv.values.push_back(Value::Null());
+      ++fv.missing;
+      // Retries exhausted on a transient error: degraded, not a miss.
+      if (IsTransient(why)) ++fv.degraded;
     }
     if (!entity_error.ok()) {
-      out[i] = std::move(entity_error);
+      out.emplace_back(std::move(entity_error));
       continue;
     }
     if (fv.degraded > 0) {
       degraded_features += fv.degraded;
       ++degraded_responses;
     }
-    out[i] = std::move(fv);
+    out.emplace_back(std::move(fv));
   }
   if (degraded_features > 0) {
     degraded_features_.fetch_add(degraded_features, std::memory_order_relaxed);

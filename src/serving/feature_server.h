@@ -21,7 +21,6 @@ namespace mlfs {
 
 class FeatureRegistry;  // registry/registry.h
 class Program;          // expr/bytecode.h
-class ThreadPool;
 
 /// What Get does when a requested feature has no live online value.
 enum class MissingFeaturePolicy : uint8_t {
@@ -38,9 +37,6 @@ struct FeatureServerOptions {
   /// Real-time backoff before retry k: initial_backoff_micros << (k-1).
   /// 0 disables sleeping (retries stay back-to-back; keep 0 in unit tests).
   uint64_t initial_backoff_micros = 0;
-  /// When > 1, GetFeaturesBatch fans its per-view MultiGets out over an
-  /// internal thread pool of this many workers; 1 keeps assembly serial.
-  uint32_t batch_parallelism = 1;
 };
 
 /// Traffic and resilience counters for one FeatureServer.
@@ -88,12 +84,12 @@ struct FeatureVector {
 /// (kNull fills NULL so the model can impute). stats() exposes
 /// retry/degradation counters for alerting.
 ///
-/// GetFeaturesBatch is batch-aware: it issues one shard-grouped
-/// OnlineStore::MultiGet per requested view (views × one store call,
-/// instead of entities × features point Gets), retries transient errors
-/// per (entity, feature) cell, and — with batch_parallelism > 1 — fans
-/// view fetches out over an internal thread pool. Results are per-entity:
-/// one entity failing under kError does not fail its batch-mates.
+/// GetFeaturesBatch is the one serving path (GetFeatures is a batch of
+/// one): it issues one shard-grouped OnlineStore::MultiGet per requested
+/// view (views × one store call, instead of entities × features point
+/// Gets) and retries transient errors per (entity, feature) cell. Results
+/// are per-entity: one entity failing under kError does not fail its
+/// batch-mates.
 ///
 /// When constructed with an EmbeddingStore, a requested feature that is
 /// not an online view but names a registered embedding (bare name or
@@ -115,7 +111,9 @@ struct FeatureVector {
 /// issued once per table per batch. NULL/error semantics match offline
 /// materialization exactly (the same compiled program evaluates both
 /// sides), so a served computed value is byte-identical to what the
-/// materializer would have logged for that input row. A feature whose
+/// materializer would have logged for that input row; a row whose
+/// evaluation fails carries its own error (Program::EvalBatch reports
+/// errors per row) and fails or NULL-fills only its entity. A feature whose
 /// latest version is marked stale in the lineage graph carries the same
 /// staleness annotation the view path produces.
 ///
@@ -138,21 +136,23 @@ class FeatureServer {
                          const EmbeddingStore* embeddings = nullptr,
                          const LineageGraph* lineage = nullptr,
                          const FeatureRegistry* registry = nullptr);
-  ~FeatureServer();
 
   FeatureServer(const FeatureServer&) = delete;
   FeatureServer& operator=(const FeatureServer&) = delete;
 
-  /// Fetches `features` for `entity_key` at logical time `now`.
+  /// Fetches `features` for `entity_key` at logical time `now`: exactly
+  /// GetFeaturesBatch({entity_key}, features, now)[0].
   StatusOr<FeatureVector> GetFeatures(const Value& entity_key,
                                       const std::vector<std::string>& features,
                                       Timestamp now) const;
 
-  /// Batched variant; entry i is entity_keys[i]'s result. Entries fail
-  /// independently (under kError a missing feature fails only that
-  /// entity's entry; a non-feature view fails every entry with
-  /// FailedPrecondition). Each entity counts as one request and records
-  /// one latency sample (the batch's amortized per-entity latency).
+  /// Entry i is entity_keys[i]'s result. Every requested feature is
+  /// fetched for the whole batch first; then entries fail independently
+  /// (under kError a missing feature fails only that entity's entry; a
+  /// non-feature view fails every entry it has a row for with
+  /// FailedPrecondition, under either policy). Each entity, failed or
+  /// not, counts as one request and records one latency sample (the
+  /// batch's amortized per-entity latency).
   std::vector<StatusOr<FeatureVector>> GetFeaturesBatch(
       const std::vector<Value>& entity_keys,
       const std::vector<std::string>& features, Timestamp now) const;
@@ -176,6 +176,12 @@ class FeatureServer {
   static constexpr size_t kMetricsStripes = 8;
 
   void RecordLatency(double micros, uint64_t num_requests) const;
+
+  /// One shard-grouped MultiGet of `view`, then up to max_attempts reads
+  /// (with backoff) of each entity whose read failed transiently.
+  std::vector<StatusOr<Row>> FetchRows(const std::string& view,
+                                       const std::vector<Value>& keys,
+                                       Timestamp now) const;
 
   /// Resolved embedding table for a requested feature name, or null when
   /// the name should go through the online-view path.
@@ -220,9 +226,6 @@ class FeatureServer {
   mutable std::mutex compile_mu_;
   mutable std::unordered_map<std::string, std::shared_ptr<const Program>>
       compile_cache_;
-  /// Workers for parallel per-view batch assembly; null when
-  /// options_.batch_parallelism <= 1.
-  std::unique_ptr<ThreadPool> pool_;
   mutable std::vector<MetricsStripe> metrics_;
   mutable std::atomic<uint64_t> retries_{0};
   mutable std::atomic<uint64_t> degraded_features_{0};

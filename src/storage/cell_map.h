@@ -59,7 +59,7 @@ class CellMap {
     for (size_t i = tag & mask;; i = (i + 1) & mask) {
       const uint64_t t = hashes_[i];
       if (t == kEmptyTag) return nullptr;
-      if (t == tag && slots_[i].key == key) return &slots_[i].cell;
+      if (t == tag && entries_[i].key == key) return &entries_[i].cell;
     }
   }
   OnlineCell* Find(uint64_t hash, std::string_view key) {
@@ -81,16 +81,16 @@ class CellMap {
         const size_t dst = (reuse != kNoSlot) ? reuse : i;
         if (dst == i) ++used_;  // Tombstone reuse does not raise occupancy.
         hashes_[dst] = tag;
-        slots_[dst].key.assign(key);
-        slots_[dst].cell = std::move(cell);
+        entries_[dst].key.assign(key);
+        entries_[dst].cell = std::move(cell);
         ++size_;
-        return {&slots_[dst].cell, true};
+        return {&entries_[dst].cell, true};
       }
       if (t == kTombstoneTag) {
         if (reuse == kNoSlot) reuse = i;
         continue;
       }
-      if (t == tag && slots_[i].key == key) return {&slots_[i].cell, false};
+      if (t == tag && entries_[i].key == key) return {&entries_[i].cell, false};
     }
   }
 
@@ -102,7 +102,7 @@ class CellMap {
     for (size_t i = tag & mask;; i = (i + 1) & mask) {
       const uint64_t t = hashes_[i];
       if (t == kEmptyTag) return false;
-      if (t == tag && slots_[i].key == key) {
+      if (t == tag && entries_[i].key == key) {
         EraseSlot(i);
         return true;
       }
@@ -113,7 +113,7 @@ class CellMap {
   template <typename F>
   void ForEach(F&& f) const {
     for (size_t i = 0; i < hashes_.size(); ++i) {
-      if (hashes_[i] >= kFirstRealTag) f(slots_[i].key, slots_[i].cell);
+      if (hashes_[i] >= kFirstRealTag) f(entries_[i].key, entries_[i].cell);
     }
   }
 
@@ -123,7 +123,7 @@ class CellMap {
   size_t EraseIf(F&& f) {
     size_t erased = 0;
     for (size_t i = 0; i < hashes_.size(); ++i) {
-      if (hashes_[i] >= kFirstRealTag && f(slots_[i].key, slots_[i].cell)) {
+      if (hashes_[i] >= kFirstRealTag && f(entries_[i].key, entries_[i].cell)) {
         EraseSlot(i);
         ++erased;
       }
@@ -151,7 +151,7 @@ class CellMap {
       const uint64_t t = hashes_[i];
       if (t == kEmptyTag) return kNoCandidate;
       if (t == tag) {
-        const char* p = reinterpret_cast<const char*>(&slots_[i]);
+        const char* p = reinterpret_cast<const char*>(&entries_[i]);
         Prefetch(p);
         Prefetch(p + 64);  // Slot{string key; OnlineCell} spans two lines.
         return static_cast<int64_t>(i);
@@ -168,7 +168,7 @@ class CellMap {
   /// supposed to prefetch.
   void PrefetchRowAt(int64_t slot) const {
     if (slot < 0) return;
-    const Slot& s = slots_[static_cast<size_t>(slot)];
+    const Slot& s = entries_[static_cast<size_t>(slot)];
     Prefetch(s.key.data());
     Prefetch(s.cell.row.payload_address());
   }
@@ -183,7 +183,7 @@ class CellMap {
     for (size_t i = static_cast<size_t>(slot);; i = (i + 1) & mask) {
       const uint64_t t = hashes_[i];
       if (t == kEmptyTag) return nullptr;
-      if (t == tag && slots_[i].key == key) return &slots_[i].cell;
+      if (t == tag && entries_[i].key == key) return &entries_[i].cell;
     }
   }
 
@@ -217,7 +217,7 @@ class CellMap {
 
   void EraseSlot(size_t i) {
     hashes_[i] = kTombstoneTag;
-    slots_[i] = Slot{};  // Frees the key and the row payload eagerly.
+    entries_[i] = Slot{};  // Frees the key and the row payload eagerly.
     --size_;
   }
 
@@ -260,15 +260,15 @@ class CellMap {
   void Rehash(size_t new_cap) {
     MLFS_DCHECK((new_cap & (new_cap - 1)) == 0);
     std::vector<uint64_t> old_hashes = std::move(hashes_);
-    std::vector<Slot> old_slots = std::move(slots_);
+    std::vector<Slot> old_slots = std::move(entries_);
     hashes_.reserve(new_cap);
     AdviseHugePages(hashes_.data(), new_cap * sizeof(uint64_t));
     hashes_.assign(new_cap, kEmptyTag);
-    slots_.clear();
-    slots_.shrink_to_fit();  // Drop the old buffer before the fresh one.
-    slots_.reserve(new_cap);
-    AdviseHugePages(slots_.data(), new_cap * sizeof(Slot));
-    slots_.resize(new_cap);
+    entries_.clear();
+    entries_.shrink_to_fit();  // Drop the old buffer before the fresh one.
+    entries_.reserve(new_cap);
+    AdviseHugePages(entries_.data(), new_cap * sizeof(Slot));
+    entries_.resize(new_cap);
     const size_t mask = new_cap - 1;
     for (size_t i = 0; i < old_hashes.size(); ++i) {
       const uint64_t tag = old_hashes[i];
@@ -276,13 +276,13 @@ class CellMap {
       size_t j = tag & mask;
       while (hashes_[j] != kEmptyTag) j = (j + 1) & mask;
       hashes_[j] = tag;
-      slots_[j] = std::move(old_slots[i]);
+      entries_[j] = std::move(old_slots[i]);
     }
     used_ = size_;
   }
 
-  std::vector<uint64_t> hashes_;  // Dense probe array; parallel to slots_.
-  std::vector<Slot> slots_;
+  std::vector<uint64_t> hashes_;  // Dense probe array; parallel to entries_.
+  std::vector<Slot> entries_;
   size_t size_ = 0;  // Live entries.
   size_t used_ = 0;  // Live entries + tombstones (occupied probe slots).
 };

@@ -65,12 +65,6 @@ Status StreamPipeline::Ingest(const Row& event) {
   return MaterializeReady();
 }
 
-Status StreamPipeline::IngestBatch(std::span<const Row> events) {
-  MLFS_RETURN_IF_ERROR(aggregator_->ProcessEvents(events));
-  events_ingested_ += events.size();
-  return MaterializeReady();
-}
-
 Status StreamPipeline::Flush(Timestamp watermark) {
   aggregator_->AdvanceWatermarkTo(watermark);
   return MaterializeReady();

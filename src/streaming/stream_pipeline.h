@@ -2,7 +2,6 @@
 #define MLFS_STREAMING_STREAM_PIPELINE_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,11 +44,9 @@ class StreamPipeline {
       OfflineStore* offline);
 
   /// Processes one raw event and materializes any windows it finalized.
+  /// Events are ingested one at a time; an event the aggregator rejects
+  /// (e.g. an aggregation input fails on it) changes no window state.
   Status Ingest(const Row& event);
-
-  /// Processes a batch of raw events (aggregation inputs evaluate
-  /// vector-at-a-time) and materializes any windows the batch finalized.
-  Status IngestBatch(std::span<const Row> events);
 
   /// Forces all windows ending at or before `watermark` to finalize and
   /// materialize (use at end of stream or on a timer tick).

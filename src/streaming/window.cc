@@ -18,6 +18,7 @@ WindowedAggregator::WindowedAggregator(
       aggs_(std::move(aggs)),
       inputs_(std::move(inputs)),
       scratch_(inputs_.size()),
+      event_inputs_(aggs_.size()),
       allowed_lateness_(allowed_lateness) {}
 
 StatusOr<std::unique_ptr<WindowedAggregator>> WindowedAggregator::Create(
@@ -108,6 +109,16 @@ Status WindowedAggregator::ProcessEvent(const Row& event) {
   }
   MLFS_ASSIGN_OR_RETURN(std::string key,
                         EntityKeyToString(event.value(entity_idx_)));
+  // Inputs evaluate once, before any window state changes, so an event
+  // whose input fails leaves the aggregator untouched.
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    if (inputs_[i] == nullptr) {
+      event_inputs_[i] = Value::Bool(true);  // Count the event.
+      continue;
+    }
+    MLFS_ASSIGN_OR_RETURN(event_inputs_[i],
+                          inputs_[i]->Eval(event, &scratch_[i]));
+  }
 
   for (Timestamp start = FirstWindowStartFor(t); start <= t;
        start += window_.slide) {
@@ -121,12 +132,7 @@ Status WindowedAggregator::ProcessEvent(const Row& event) {
       return by_entity.emplace(key, std::move(fresh)).first->second;
     }();
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      if (inputs_[i] == nullptr) {
-        state.aggs[i]->Add(Value::Bool(true));  // Count the event.
-        continue;
-      }
-      MLFS_ASSIGN_OR_RETURN(Value v, inputs_[i]->Eval(event));
-      state.aggs[i]->Add(v);
+      state.aggs[i]->Add(event_inputs_[i]);
     }
   }
 
@@ -134,104 +140,6 @@ Status WindowedAggregator::ProcessEvent(const Row& event) {
   Timestamp new_watermark = max_event_time_ - allowed_lateness_;
   if (new_watermark > watermark_) {
     watermark_ = new_watermark;
-    MaybeFinalize();
-  }
-  return Status::OK();
-}
-
-Status WindowedAggregator::ProcessEvents(std::span<const Row> events) {
-  constexpr size_t kChunkRows = 1024;
-  for (size_t off = 0; off < events.size(); off += kChunkRows) {
-    const size_t len = std::min(kChunkRows, events.size() - off);
-    MLFS_RETURN_IF_ERROR(ProcessChunk(events.subspan(off, len)));
-  }
-  return Status::OK();
-}
-
-Status WindowedAggregator::FallbackRowPath(std::span<const Row> chunk) {
-  for (const Row& event : chunk) MLFS_RETURN_IF_ERROR(ProcessEvent(event));
-  return Status::OK();
-}
-
-Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
-  // Pre-scan with the same prefix-max watermark the row path would have
-  // seen after each event; nothing mutates until the scan (and every batch
-  // evaluation) has succeeded, so any failure can re-run the chunk through
-  // the row path and report the error at the exact event that caused it.
-  std::vector<const Row*> live;
-  std::vector<Timestamp> live_ts;
-  std::vector<std::string> live_keys;
-  live.reserve(chunk.size());
-  live_ts.reserve(chunk.size());
-  live_keys.reserve(chunk.size());
-  Timestamp wm = watermark_;
-  Timestamp max_t = max_event_time_;
-  uint64_t dropped = 0;
-  for (const Row& event : chunk) {
-    if (event.schema() == nullptr || !(*event.schema() == *schema_)) {
-      return FallbackRowPath(chunk);
-    }
-    const Value& tv = event.value(time_idx_);
-    if (tv.is_null()) return FallbackRowPath(chunk);
-    Timestamp t = tv.time_value();
-    if (wm != kMinTimestamp && t < wm) {
-      ++dropped;
-      continue;
-    }
-    auto key = EntityKeyToString(event.value(entity_idx_));
-    if (!key.ok()) return FallbackRowPath(chunk);
-    live.push_back(&event);
-    live_ts.push_back(t);
-    live_keys.push_back(std::move(key).value());
-    max_t = std::max(max_t, t);
-    if (max_t - allowed_lateness_ > wm) wm = max_t - allowed_lateness_;
-  }
-  // One vectorized evaluation per aggregation input over the surviving
-  // rows (the row path re-evaluates per overlapping window; expressions
-  // are pure, so sharing the result across windows is observably equal).
-  std::vector<const ColumnVector*> cols(inputs_.size(), nullptr);
-  if (!live.empty()) {
-    RowPtrBatchSource src(schema_, live);
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      if (inputs_[i] == nullptr) continue;
-      if (!inputs_[i]->EvalBatch(src, &scratch_[i], &cols[i]).ok()) {
-        return FallbackRowPath(chunk);
-      }
-    }
-  }
-  for (size_t r = 0; r < live.size(); ++r) {
-    const Timestamp t = live_ts[r];
-    const std::string& key = live_keys[r];
-    for (Timestamp start = FirstWindowStartFor(t); start <= t;
-         start += window_.slide) {
-      EntityState& state = [&]() -> EntityState& {
-        auto& by_entity = open_[start];
-        auto it = by_entity.find(key);
-        if (it != by_entity.end()) return it->second;
-        EntityState fresh;
-        fresh.aggs.reserve(aggs_.size());
-        for (const auto& spec : aggs_) {
-          fresh.aggs.push_back(MakeAggregator(spec.fn));
-        }
-        return by_entity.emplace(key, std::move(fresh)).first->second;
-      }();
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        if (inputs_[i] == nullptr) {
-          state.aggs[i]->Add(Value::Bool(true));  // Count the event.
-          continue;
-        }
-        state.aggs[i]->Add(cols[i]->GetValue(r));
-      }
-    }
-  }
-  dropped_late_ += dropped;
-  max_event_time_ = std::max(max_event_time_, max_t);
-  Timestamp new_watermark = max_event_time_ - allowed_lateness_;
-  if (new_watermark > watermark_) {
-    watermark_ = new_watermark;
-    // Deferring finalization to the chunk boundary is safe: every window
-    // containing a chunk event ends after that event's time, which is at
-    // or above the watermark the row path would have finalized against.
     MaybeFinalize();
   }
   return Status::OK();

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,18 +64,10 @@ class WindowedAggregator {
       std::vector<WindowAggSpec> aggs, Timestamp allowed_lateness = 0);
 
   /// Folds one event into all windows containing it; advances the
-  /// watermark, which may finalize older windows.
+  /// watermark, which may finalize older windows. Each aggregation input
+  /// evaluates once per event (a batch of one), before any window state
+  /// changes: an event that fails leaves the aggregator untouched.
   Status ProcessEvent(const Row& event);
-
-  /// Batch equivalent of calling ProcessEvent on each row in order:
-  /// aggregation-input expressions evaluate vector-at-a-time over each
-  /// chunk of surviving (non-late) events, late-event drops follow the
-  /// same prefix-max watermark the one-at-a-time path would have seen,
-  /// and finalization is deferred to chunk boundaries (observably
-  /// identical — a window past the watermark can never receive events).
-  /// Chunks that would error fall back to the row path so failure
-  /// positions match exactly.
-  Status ProcessEvents(std::span<const Row> events);
 
   /// Finalized results since the last poll, ordered by (window_end, entity).
   std::vector<WindowResult> PollResults();
@@ -107,8 +98,6 @@ class WindowedAggregator {
 
   void MaybeFinalize();
   Timestamp FirstWindowStartFor(Timestamp t) const;
-  Status ProcessChunk(std::span<const Row> chunk);
-  Status FallbackRowPath(std::span<const Row> chunk);
 
   SchemaPtr schema_;
   int entity_idx_;
@@ -117,9 +106,11 @@ class WindowedAggregator {
   std::vector<WindowAggSpec> aggs_;
   // Parallel to aggs_; null entry means "count the event itself".
   std::vector<std::unique_ptr<CompiledExpr>> inputs_;
-  // Parallel to inputs_: per-input VM scratch, so each input's result
-  // vector stays live while the others evaluate over the same chunk.
+  // Parallel to inputs_: per-input VM scratch, so each input keeps its
+  // register buffers from one event to the next.
   std::vector<ExprScratch> scratch_;
+  // Parallel to aggs_: the current event's aggregation inputs.
+  std::vector<Value> event_inputs_;
   Timestamp allowed_lateness_;
 
   WindowMap open_;

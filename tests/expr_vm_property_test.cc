@@ -2,13 +2,13 @@
 // expression trees (every operator and builtin, literal/column mixes,
 // NULL-typed literals) evaluated over randomized rows (NULL injection,
 // full-range int64s, NaN/inf/signed-zero doubles, zero-length and
-// mismatched-dim embeddings) must behave *byte-identically* across the
-// three engines — the tree-walking oracle (EvalExpr), the compiled
-// program's row interpreter (CompiledExpr::Eval), and the batch kernels
-// (CompiledExpr::EvalBatch). Identical means: the same compile acceptance
-// with the same status, bit-equal values (NaN payloads included), the
-// same NULLs, and on failure the same error status reported at the same
-// first failing row.
+// mismatched-dim embeddings) must behave *byte-identically* in the two
+// engines — the tree-walking oracle (EvalExpr) and the compiled program's
+// batch kernels, run over the whole fixture (CompiledExpr::EvalBatch) and
+// as batches of one (CompiledExpr::Eval). Identical means: the same
+// compile acceptance with the same status, and for every row either
+// bit-equal values (NaN payloads included) and the same NULLs, or the
+// same error status — in a batch, through its per-row error list.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -195,7 +195,7 @@ ExprPtr RandomExpr(Rng& rng, int depth) {
   }
 }
 
-// Runs one (expression, rows) fixture through all three engines.
+// Runs one (expression, rows) fixture through both engines.
 // Returns true if the expression compiled (i.e. the rows were consumed).
 bool CheckTree(const Expr& expr, const SchemaPtr& schema,
                const std::vector<Row>& rows, const std::string& tag) {
@@ -209,7 +209,7 @@ bool CheckTree(const Expr& expr, const SchemaPtr& schema,
   }
   EXPECT_EQ(*inferred, compiled->output_type()) << tag;
 
-  // Row-by-row: compiled row interpreter vs tree-walking oracle.
+  // Row-by-row: the compiled program on one row vs tree-walking oracle.
   std::vector<StatusOr<Value>> oracle;
   oracle.reserve(rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
@@ -228,32 +228,42 @@ bool CheckTree(const Expr& expr, const SchemaPtr& schema,
     }
   }
 
-  // Batch: one EvalBatch over all rows must reproduce every oracle value,
-  // or fail with the exact status of the first failing row.
+  // Batch: one EvalBatch over all rows must reproduce every row of the
+  // oracle, including rows after the first failure: a failing row through
+  // the per-row error list (its result cell NULL), any other row
+  // bit-exactly. The call returns the first failing row's status.
   ExprScratch scratch;
   const ColumnVector* res = nullptr;
   RowBatchSource src(schema, rows);
   Status batch = compiled->EvalBatch(src, &scratch, &res);
+  EXPECT_NE(res, nullptr) << tag << ": no result column";
+  if (res == nullptr) return true;
+  const std::vector<RowError>& errors = scratch.row_errors();
+  size_t next_err = 0;
   size_t first_err = rows.size();
   for (size_t r = 0; r < rows.size(); ++r) {
+    const bool listed = next_err < errors.size() && errors[next_err].row == r;
+    EXPECT_EQ(oracle[r].ok(), !listed)
+        << tag << " row " << r << " (batch): oracle=" << oracle[r].status();
     if (!oracle[r].ok()) {
-      first_err = r;
-      break;
+      if (first_err == rows.size()) first_err = r;
+      if (!listed) return true;
+      EXPECT_EQ(oracle[r].status().ToString(),
+                errors[next_err].status.ToString())
+          << tag << " row " << r << " (batch)";
+      EXPECT_TRUE(res->GetValue(r).is_null()) << tag << " row " << r;
+      ++next_err;
+      continue;
     }
+    if (listed) return true;
+    EXPECT_EQ(ValueBytes(*oracle[r]), ValueBytes(res->GetValue(r)))
+        << tag << " row " << r << " (batch)";
   }
+  EXPECT_EQ(next_err, errors.size()) << tag << ": error list not ascending";
   if (first_err < rows.size()) {
-    EXPECT_FALSE(batch.ok()) << tag << ": oracle fails at row " << first_err
-                             << " (" << oracle[first_err].status()
-                             << ") but batch succeeded";
-    if (batch.ok()) return true;
     EXPECT_EQ(oracle[first_err].status().ToString(), batch.ToString()) << tag;
   } else {
     EXPECT_TRUE(batch.ok()) << tag << ": " << batch;
-    if (!batch.ok()) return true;
-    for (size_t r = 0; r < rows.size(); ++r) {
-      EXPECT_EQ(ValueBytes(*oracle[r]), ValueBytes(res->GetValue(r)))
-          << tag << " row " << r << " (batch)";
-    }
   }
 
   // Single-row batches exercise the tail/short-batch kernel paths.
@@ -322,6 +332,37 @@ TEST(ExprVmPropertyTest, ParsedFixturesMatchOracle) {
     auto parsed = ParseExpr(src);
     ASSERT_TRUE(parsed.ok()) << src << ": " << parsed.status();
     CheckTree(**parsed, schema, rows, src);
+  }
+}
+
+TEST(ExprVmPropertyTest, FailedRowReadsNullThroughMaskingOps) {
+  // coalesce and is_null turn the NULL a failing instruction leaves into a
+  // value; the row still failed, so its result cell must read NULL while
+  // its batch-mate keeps the oracle's value.
+  SchemaPtr schema = TestSchema();
+  std::vector<Row> rows;
+  for (const Value& d1 : {Value::Double(2.0), Value::Null()}) {
+    std::vector<Value> vals(schema->num_fields(), Value::Null());
+    vals[static_cast<size_t>(schema->FieldIndex("d1"))] = d1;
+    rows.push_back(Row::CreateUnsafe(schema, std::move(vals)));
+  }
+  for (const char* src :
+       {"coalesce(clamp(d1, 1, 0), 7.5)", "is_null(clamp(d1, 1, 0))"}) {
+    ExprPtr expr = ParseExpr(src).value();
+    CompiledExpr compiled = CompiledExpr::Compile(*expr, schema).value();
+    ExprScratch scratch;
+    const ColumnVector* res = nullptr;
+    Status s = compiled.EvalBatch(RowBatchSource(schema, rows), &scratch, &res);
+    StatusOr<Value> failing = EvalExpr(*expr, rows[0]);
+    StatusOr<Value> passing = EvalExpr(*expr, rows[1]);
+    ASSERT_FALSE(failing.ok()) << src;
+    ASSERT_TRUE(passing.ok()) << src << ": " << passing.status();
+    EXPECT_EQ(failing.status().ToString(), s.ToString()) << src;
+    ASSERT_NE(res, nullptr) << src;
+    ASSERT_EQ(scratch.row_errors().size(), 1u) << src;
+    EXPECT_EQ(scratch.row_errors()[0].row, 0u) << src;
+    EXPECT_TRUE(res->GetValue(0).is_null()) << src;
+    EXPECT_EQ(ValueBytes(*passing), ValueBytes(res->GetValue(1))) << src;
   }
 }
 

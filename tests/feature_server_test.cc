@@ -64,6 +64,17 @@ TEST_F(FeatureServerTest, ErrorPolicyFailsRequest) {
   EXPECT_TRUE(fv.status().IsNotFound());
 }
 
+TEST_F(FeatureServerTest, FailedSingleKeyRequestCountsAndRecordsLatency) {
+  FeatureServerOptions options;
+  options.missing_policy = MissingFeaturePolicy::kError;
+  FeatureServer server(&store_, options);
+  // Entity 2 has no f2: the request fails, but it was still served.
+  auto fv = server.GetFeatures(Value::Int64(2), {"f1", "f2"}, Hours(4));
+  EXPECT_TRUE(fv.status().IsNotFound());
+  EXPECT_EQ(server.requests(), 1u);
+  EXPECT_EQ(server.latency_histogram().count(), 1u);
+}
+
 TEST_F(FeatureServerTest, RejectsNonFeatureViews) {
   auto raw_schema =
       Schema::Create({{"x", FeatureType::kInt64, true}}).value();
@@ -299,27 +310,6 @@ TEST_F(FeatureServerTest, BatchRejectsNonFeatureViewsPerEntity) {
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_TRUE(batch[0].status().IsFailedPrecondition());
   EXPECT_TRUE(batch[1].status().IsFailedPrecondition());
-}
-
-TEST_F(FeatureServerTest, BatchParallelAssemblyMatchesSerial) {
-  FeatureServerOptions parallel_options;
-  parallel_options.batch_parallelism = 4;
-  FeatureServer parallel_server(&store_, parallel_options);
-  FeatureServer serial_server(&store_);
-  std::vector<Value> keys;
-  for (int64_t e = 0; e < 16; ++e) keys.push_back(Value::Int64(e % 3));
-  std::vector<std::string> features = {"f1", "f2", "f1"};
-  auto parallel = parallel_server.GetFeaturesBatch(keys, features, Hours(4));
-  auto serial = serial_server.GetFeaturesBatch(keys, features, Hours(4));
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t i = 0; i < parallel.size(); ++i) {
-    ASSERT_EQ(parallel[i].ok(), serial[i].ok());
-    if (!parallel[i].ok()) continue;
-    EXPECT_EQ(parallel[i]->values, serial[i]->values);
-    EXPECT_EQ(parallel[i]->missing, serial[i]->missing);
-    EXPECT_EQ(parallel[i]->oldest_event_time, serial[i]->oldest_event_time);
-  }
-  EXPECT_EQ(parallel_server.requests(), keys.size());
 }
 
 TEST_F(FeatureServerTest, EmptyBatchIsEmpty) {

@@ -285,6 +285,68 @@ TEST_F(ServingComputeTest, EvalErrorMatchesOfflineStatusUnderBothPolicies) {
   EXPECT_TRUE(batch[1]->values[0].is_null());
 }
 
+TEST_F(ServingComputeTest, PerRowEvalErrorFailsOnlyItsEntity) {
+  // Entity 1's bounds cross (lo 1.0 > hi trips_7d = 0): its row errors.
+  // Entity 2 clamps 4.0 into [1, 10] exactly. Both rows evaluate in one
+  // EvalBatch; each entity must get its own row's outcome.
+  ASSERT_TRUE(store_
+                  .Ingest("activity",
+                          {SourceRow(1, Hours(1), Value::Int64(0),
+                                     Value::Int64(0), Value::Double(4.0),
+                                     Value::Null()),
+                           SourceRow(2, Hours(2), Value::Int64(10),
+                                     Value::Int64(10), Value::Double(4.0),
+                                     Value::Null())})
+                  .ok());
+  ASSERT_TRUE(store_
+                  .PublishFeature(
+                      Def("clamped", "clamp(spend, 1.0, trips_7d)"))
+                  .ok());
+  const Timestamp now = store_.clock().now();
+  const std::vector<Value> keys = {Value::Int64(1), Value::Int64(2)};
+
+  // kNull (the store's server): the failing row is a NULL miss.
+  auto lenient = store_.server().GetFeaturesBatch(keys, {"clamped"}, now);
+  ASSERT_EQ(lenient.size(), 2u);
+  ASSERT_TRUE(lenient[0].ok()) << lenient[0].status();
+  EXPECT_TRUE(lenient[0]->values[0].is_null());
+  EXPECT_EQ(lenient[0]->missing, 1u);
+  ASSERT_TRUE(lenient[1].ok()) << lenient[1].status();
+  EXPECT_TRUE(BitEq(lenient[1]->values[0], Value::Double(4.0)));
+  EXPECT_EQ(lenient[1]->missing, 0u);
+
+  // kError: only entity 1 fails, with its own row's error.
+  FeatureServerOptions opts;
+  opts.missing_policy = MissingFeaturePolicy::kError;
+  FeatureServer strict(&store_.online(), opts, nullptr, &store_.lineage(),
+                       &store_.registry());
+  auto failing = strict.GetFeaturesBatch(keys, {"clamped"}, now);
+  ASSERT_EQ(failing.size(), 2u);
+  ASSERT_FALSE(failing[0].ok());
+  EXPECT_NE(failing[0].status().message().find("clamp: lo > hi"),
+            std::string::npos)
+      << failing[0].status();
+  ASSERT_TRUE(failing[1].ok()) << failing[1].status();
+  EXPECT_TRUE(BitEq(failing[1]->values[0], Value::Double(4.0)));
+
+  // A single-key request is the same batch of one.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto single = store_.server().GetFeatures(keys[i], {"clamped"}, now);
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_TRUE(BitEq(single->values[0], lenient[i]->values[0])) << i;
+    EXPECT_EQ(single->missing, lenient[i]->missing) << i;
+    EXPECT_EQ(single->oldest_event_time, lenient[i]->oldest_event_time) << i;
+    auto strict_single = strict.GetFeatures(keys[i], {"clamped"}, now);
+    ASSERT_EQ(strict_single.ok(), failing[i].ok()) << i;
+    if (!strict_single.ok()) {
+      EXPECT_EQ(strict_single.status().ToString(),
+                failing[i].status().ToString());
+    } else {
+      EXPECT_TRUE(BitEq(strict_single->values[0], failing[i]->values[0]));
+    }
+  }
+}
+
 TEST_F(ServingComputeTest, LateArrivingDataFollowsEventTimeNotIngestOrder) {
   // Newest event time first, then a late-arriving older row: serving must
   // keep the newest-by-event-time value, exactly like the offline AsOf.
@@ -644,8 +706,9 @@ TEST_F(DictPredicateTest, DisableFlagFallsBackToPerRowWithIdenticalResults) {
   auto fast = table_->Scan({.lo = 0, .predicate = &pred});
   ASSERT_TRUE(fast.ok()) << fast.status();
 
-  // Re-evaluate every returned row AND every dropped row through EvalRow:
-  // a full-scan oracle over rows materialized without the predicate.
+  // Re-evaluate every returned row AND every dropped row as a batch of one
+  // (CompiledExpr::Eval): a full-scan oracle over rows materialized
+  // without the predicate.
   std::vector<Row> all = table_->Scan({.lo = 0}).value();
   ExprScratch scratch;
   scratch.set_disable_dict_fastpath(true);

@@ -206,7 +206,6 @@ TEST_F(StressTest, ConcurrentBatchedMultiGetUnderFaultInjection) {
 
   FeatureServerOptions server_options;
   server_options.max_attempts = 3;
-  server_options.batch_parallelism = 2;  // Exercise the pooled fan-out.
   FeatureServer server(&store, server_options);
 
   {

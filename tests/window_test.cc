@@ -173,6 +173,33 @@ TEST(WindowedAggregatorTest, OpenStatesBookkeeping) {
   EXPECT_EQ(agg->open_states(), 0u);
 }
 
+TEST(WindowedAggregatorTest, FailedInputLeavesAggregatorUntouched) {
+  auto schema = EventSchema();
+  // clamp with lo > hi fails on every non-NULL fare. The count ahead of it
+  // must not see an event the aggregator rejects.
+  auto agg = MakeAgg({Hours(1), Hours(1)}, /*lateness=*/0,
+                     {{"n", AggregateFn::kCount, ""},
+                      {"bad", AggregateFn::kSum, "clamp(fare, 1.0, 0.0)"}});
+  Status rejected = agg->ProcessEvent(Event(schema, 1, Minutes(10), 5.0));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.message().find("clamp: lo > hi"), std::string::npos)
+      << rejected;
+  EXPECT_EQ(agg->open_states(), 0u);
+  EXPECT_EQ(agg->watermark(), kMinTimestamp);
+
+  // A NULL fare clamps to NULL without error: the one event the window
+  // holds.
+  Row good = Row::Create(schema, {Value::Int64(1), Value::Time(Minutes(20)),
+                                  Value::Null()})
+                 .value();
+  ASSERT_TRUE(agg->ProcessEvent(good).ok());
+  EXPECT_EQ(agg->open_states(), 1u);
+  agg->AdvanceWatermarkTo(Hours(1));
+  auto results = agg->PollResults();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].values[0], Value::Int64(1));
+}
+
 TEST(WindowedAggregatorTest, RandomizedMatchesBatchOracle) {
   auto schema = EventSchema();
   const Timestamp width = Hours(2), slide = Hours(1);
