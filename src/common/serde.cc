@@ -185,7 +185,7 @@ StatusOr<Value> Decoder::GetValue() {
     }
     case FeatureType::kEmbedding: {
       MLFS_ASSIGN_OR_RETURN(uint64_t dim, GetVarint64());
-      if (dim > (1ULL << 24)) {
+      if (dim > (1ULL << 24) || dim > remaining() / sizeof(float)) {
         return Status::Corruption("embedding dim too large: " +
                                   std::to_string(dim));
       }
@@ -223,6 +223,10 @@ StatusOr<SchemaPtr> Decoder::GetSchema() {
 
 StatusOr<Row> Decoder::GetRow(SchemaPtr schema) {
   MLFS_ASSIGN_OR_RETURN(uint64_t n, GetVarint64());
+  // Every value takes at least its tag byte.
+  if (n > remaining()) {
+    return Status::Corruption("row value count exceeds input");
+  }
   std::vector<Value> values;
   values.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/serde.h"
+#include "io/block_file.h"
 #include "registry/materializer.h"
 #include "storage/entity_key.h"
 #include "storage/persistence.h"
@@ -429,43 +430,71 @@ FreshnessReport FeatureStore::CheckFreshness(
   return ComputeFreshness(online_, feature, entity_keys, clock_.now());
 }
 
+namespace {
+constexpr uint32_t kCheckpointMagic = 0x4d4c434b;  // "MLCK"
+constexpr uint32_t kCheckpointVersion = 1;
+constexpr char kCheckpointFile[] = "/checkpoint.mlfs";
+}  // namespace
+
 Status FeatureStore::Checkpoint(const std::string& dir) const {
-  MLFS_RETURN_IF_ERROR(CheckpointOfflineStore(offline_, dir).status());
-  MLFS_RETURN_IF_ERROR(CheckpointOnlineStore(online_, dir));
-  MLFS_RETURN_IF_ERROR(WriteFileAtomic(dir + "/registry.mlfs",
-                                       registry_.Snapshot()));
-  MLFS_RETURN_IF_ERROR(WriteFileAtomic(dir + "/embeddings.mlfs",
-                                       embedding_store_.Snapshot()));
-  MLFS_RETURN_IF_ERROR(WriteFileAtomic(dir + "/models.mlfs",
-                                       model_registry_.Snapshot()));
-  MLFS_RETURN_IF_ERROR(WriteFileAtomic(dir + "/lineage.mlfs",
-                                       lineage_.Snapshot()));
   Encoder enc;
   enc.PutFixed64(static_cast<uint64_t>(clock_.now()));
-  return WriteFileAtomic(dir + "/clock.mlfs", enc.buffer());
+  for (const std::string& snapshot :
+       {lineage_.Snapshot(), online_.Snapshot(), registry_.Snapshot(),
+        embedding_store_.Snapshot(), model_registry_.Snapshot()}) {
+    enc.PutString(snapshot);
+  }
+  const std::vector<std::string> tables = offline_.TableNames();
+  enc.PutVarint64(tables.size());
+  for (const std::string& name : tables) {
+    MLFS_ASSIGN_OR_RETURN(OfflineTable * table, offline_.GetTable(name));
+    enc.PutString(table->Snapshot());
+  }
+  return WriteFileAtomic(
+      dir + kCheckpointFile,
+      BlockFile::Seal(kCheckpointMagic, kCheckpointVersion, enc.buffer()),
+      /*durable=*/true);
 }
 
 Status FeatureStore::RestoreCheckpoint(const std::string& dir) {
-  MLFS_RETURN_IF_ERROR(RestoreOfflineStore(&offline_, dir));
-  MLFS_RETURN_IF_ERROR(RestoreOnlineStore(&online_, dir));
+  if (!offline_.TableNames().empty() || online_.num_views() != 0 ||
+      registry_.num_features() != 0 || embedding_store_.num_tables() != 0 ||
+      model_registry_.num_models() != 0 || lineage_.num_artifacts() != 0) {
+    return Status::FailedPrecondition(
+        "RestoreCheckpoint requires a fresh store");
+  }
+  MLFS_ASSIGN_OR_RETURN(
+      BlockFilePtr file,
+      BlockFile::Map(kCheckpointMagic, kCheckpointVersion,
+                     dir + kCheckpointFile, /*remove_file_on_destroy=*/false,
+                     "checkpoint"));
+  // Split the whole file and rebuild the tables before the first change.
+  Decoder dec(file->body());
+  MLFS_ASSIGN_OR_RETURN(uint64_t now, dec.GetFixed64());
+  std::string lineage, online, registry, embeddings, models;
+  for (std::string* snapshot :
+       {&lineage, &online, &registry, &embeddings, &models}) {
+    MLFS_ASSIGN_OR_RETURN(*snapshot, dec.GetString());
+  }
+  MLFS_ASSIGN_OR_RETURN(uint64_t num_tables, dec.GetVarint64());
+  std::vector<std::unique_ptr<OfflineTable>> tables;
+  for (uint64_t i = 0; i < num_tables; ++i) {
+    MLFS_ASSIGN_OR_RETURN(std::string snapshot, dec.GetString());
+    MLFS_ASSIGN_OR_RETURN(auto table, OfflineTable::FromSnapshot(snapshot));
+    tables.push_back(std::move(table));
+  }
+  if (!dec.AtEnd()) return Status::Corruption("checkpoint: trailing bytes");
   // Lineage first: it carries staleness annotations and the event log the
   // silo restores cannot reconstruct; their re-recorded edges then land as
   // idempotent no-ops.
-  MLFS_ASSIGN_OR_RETURN(std::string lineage_data,
-                        ReadFile(dir + "/lineage.mlfs"));
-  MLFS_RETURN_IF_ERROR(lineage_.Restore(lineage_data));
-  MLFS_ASSIGN_OR_RETURN(std::string registry_data,
-                        ReadFile(dir + "/registry.mlfs"));
-  MLFS_RETURN_IF_ERROR(registry_.Restore(registry_data));
-  MLFS_ASSIGN_OR_RETURN(std::string embedding_data,
-                        ReadFile(dir + "/embeddings.mlfs"));
-  MLFS_RETURN_IF_ERROR(embedding_store_.Restore(embedding_data));
-  MLFS_ASSIGN_OR_RETURN(std::string model_data,
-                        ReadFile(dir + "/models.mlfs"));
-  MLFS_RETURN_IF_ERROR(model_registry_.Restore(model_data));
-  MLFS_ASSIGN_OR_RETURN(std::string clock_data, ReadFile(dir + "/clock.mlfs"));
-  Decoder dec(clock_data);
-  MLFS_ASSIGN_OR_RETURN(uint64_t now, dec.GetFixed64());
+  MLFS_RETURN_IF_ERROR(lineage_.Restore(lineage));
+  for (auto& table : tables) {
+    MLFS_RETURN_IF_ERROR(offline_.AdoptTable(std::move(table)));
+  }
+  MLFS_RETURN_IF_ERROR(online_.Restore(online));
+  MLFS_RETURN_IF_ERROR(registry_.Restore(registry));
+  MLFS_RETURN_IF_ERROR(embedding_store_.Restore(embeddings));
+  MLFS_RETURN_IF_ERROR(model_registry_.Restore(models));
   clock_.AdvanceTo(static_cast<Timestamp>(now));
   return Status::OK();
 }

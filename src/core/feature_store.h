@@ -187,13 +187,16 @@ class FeatureStore {
 
   // --- Durability -------------------------------------------------------------
 
-  /// Writes a full checkpoint (offline tables, online cells, feature
-  /// registry, embedding store, model registry, lineage graph, logical
-  /// clock) into `dir`.
+  /// Writes one sealed file, `dir/checkpoint.mlfs`: the logical clock and
+  /// every component snapshot, fsynced and published by one rename, so a
+  /// failed checkpoint leaves the previous file whole. Components are
+  /// snapshotted one after another, not under an ingest barrier.
   Status Checkpoint(const std::string& dir) const;
 
-  /// Restores a Checkpoint() into this *fresh* store (no tables, views,
-  /// features, embeddings, or models may exist yet). Stream pipelines and
+  /// Restores a Checkpoint() into this store. Before anything changes it
+  /// refuses a store that is not fresh (any table, online view, feature,
+  /// embedding, model or lineage artifact: FailedPrecondition) and a
+  /// missing (NotFound) or changed (Corruption) file. Stream pipelines and
   /// orchestrator refresh state are not persisted.
   Status RestoreCheckpoint(const std::string& dir);
 

@@ -7,6 +7,7 @@
 #include "common/serde.h"
 #include "common/string_util.h"
 #include "embedding/compress.h"
+#include "io/block_file.h"
 
 namespace mlfs {
 namespace {
@@ -339,11 +340,10 @@ EmbeddingStoreTierStats EmbeddingStore::TierStats() const {
 }
 
 namespace {
-// Legacy resident-only snapshots ("MLEB") are still readable; snapshots
-// are written in the v2 format ("MLE2") that adds a per-table mode byte
-// and a tiered payload (packed codes + exact hot blocks).
-constexpr uint32_t kEmbeddingSnapshotMagic = 0x4d4c4542;    // "MLEB"
-constexpr uint32_t kEmbeddingSnapshotMagicV2 = 0x4d4c4532;  // "MLE2"
+// Each table carries a mode byte: resident (exact floats) or tiered
+// (packed codes + exact hot blocks).
+constexpr uint32_t kEmbeddingSnapshotMagic = 0x4d4c4532;  // "MLE2"
+constexpr uint32_t kEmbeddingSnapshotVersion = 1;
 constexpr uint8_t kSnapshotModeResident = 0;
 constexpr uint8_t kSnapshotModeTiered = 1;
 
@@ -377,7 +377,6 @@ StatusOr<EmbeddingTableMetadata> GetMetadata(Decoder* dec) {
 std::string EmbeddingStore::Snapshot() const {
   std::lock_guard lock(mu_);
   Encoder enc;
-  enc.PutFixed32(kEmbeddingSnapshotMagicV2);
   uint64_t total = 0;
   for (const auto& [name, versions] : tables_) total += versions.size();
   enc.PutVarint64(total);
@@ -414,7 +413,8 @@ std::string EmbeddingStore::Snapshot() const {
       }
     }
   }
-  return enc.Release();
+  return BlockFile::Seal(kEmbeddingSnapshotMagic, kEmbeddingSnapshotVersion,
+                         enc.buffer());
 }
 
 Status EmbeddingStore::Restore(std::string_view snapshot) {
@@ -424,12 +424,11 @@ Status EmbeddingStore::Restore(std::string_view snapshot) {
       return Status::FailedPrecondition("Restore requires an empty store");
     }
   }
-  Decoder dec(snapshot);
-  MLFS_ASSIGN_OR_RETURN(uint32_t magic, dec.GetFixed32());
-  const bool v2 = magic == kEmbeddingSnapshotMagicV2;
-  if (!v2 && magic != kEmbeddingSnapshotMagic) {
-    return Status::Corruption("bad embedding snapshot magic");
-  }
+  MLFS_ASSIGN_OR_RETURN(
+      std::string_view body,
+      BlockFile::Unseal(kEmbeddingSnapshotMagic, kEmbeddingSnapshotVersion,
+                        snapshot, "embedding snapshot"));
+  Decoder dec(body);
   MLFS_ASSIGN_OR_RETURN(uint64_t total, dec.GetVarint64());
   std::vector<EmbeddingTableMetadata> restored;
   {
@@ -438,7 +437,8 @@ Status EmbeddingStore::Restore(std::string_view snapshot) {
       MLFS_ASSIGN_OR_RETURN(EmbeddingTableMetadata metadata, GetMetadata(&dec));
       MLFS_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint64());
       MLFS_ASSIGN_OR_RETURN(uint64_t dim, dec.GetVarint64());
-      if (dim == 0 || dim > (1ULL << 24) || n > (1ULL << 32)) {
+      // A key takes at least one byte: no allocation outgrows the input.
+      if (dim == 0 || dim > (1ULL << 24) || n > dec.remaining()) {
         return Status::Corruption("implausible embedding shape");
       }
       std::vector<std::string> keys;
@@ -447,12 +447,12 @@ Status EmbeddingStore::Restore(std::string_view snapshot) {
         MLFS_ASSIGN_OR_RETURN(std::string key, dec.GetString());
         keys.push_back(std::move(key));
       }
-      uint8_t mode = kSnapshotModeResident;
-      if (v2) {
-        MLFS_ASSIGN_OR_RETURN(mode, dec.GetU8());
-      }
+      MLFS_ASSIGN_OR_RETURN(uint8_t mode, dec.GetU8());
       EmbeddingTablePtr table;
       if (mode == kSnapshotModeResident) {
+        if (n * dim > dec.remaining() / sizeof(float)) {
+          return Status::Corruption("embedding vectors exceed snapshot");
+        }
         std::vector<float> vectors(n * dim);
         for (auto& x : vectors) {
           MLFS_ASSIGN_OR_RETURN(x, dec.GetFloat());
@@ -465,7 +465,8 @@ Status EmbeddingStore::Restore(std::string_view snapshot) {
         MLFS_ASSIGN_OR_RETURN(uint64_t bits, dec.GetVarint64());
         MLFS_ASSIGN_OR_RETURN(uint64_t block_rows, dec.GetVarint64());
         MLFS_ASSIGN_OR_RETURN(uint64_t hot_limit, dec.GetVarint64());
-        if (bits < 1 || bits > 16 || block_rows == 0) {
+        if (bits < 1 || bits > 16 || block_rows == 0 ||
+            dim > dec.remaining() / (2 * sizeof(float))) {
           return Status::Corruption("implausible tier geometry");
         }
         PackedCodes packed;
@@ -487,13 +488,17 @@ Status EmbeddingStore::Restore(std::string_view snapshot) {
         }
         packed.codes.assign(codes.begin(), codes.end());
         MLFS_ASSIGN_OR_RETURN(uint64_t hot_count, dec.GetVarint64());
+        if (hot_count > dec.remaining() / 2) {  // Id + length bytes each.
+          return Status::Corruption("tier hot block count exceeds snapshot");
+        }
         std::vector<std::pair<uint32_t, std::vector<float>>> hot;
         hot.reserve(hot_count);
         for (uint64_t h = 0; h < hot_count; ++h) {
           MLFS_ASSIGN_OR_RETURN(uint64_t block, dec.GetVarint64());
           MLFS_ASSIGN_OR_RETURN(std::string payload, dec.GetString());
-          if (payload.size() % sizeof(float) != 0) {
-            return Status::Corruption("tier hot block not float-sized");
+          if (payload.empty() || payload.size() % sizeof(float) != 0 ||
+              block > UINT32_MAX) {
+            return Status::Corruption("tier hot block malformed");
           }
           std::vector<float> rows(payload.size() / sizeof(float));
           std::memcpy(rows.data(), payload.data(), payload.size());
@@ -522,10 +527,12 @@ Status EmbeddingStore::Restore(std::string_view snapshot) {
           std::vector<float> vectors(n * dim);
           DequantizeRange(ViewOf(packed, tables), 0, n, vectors.data());
           for (const auto& [block, rows] : hot) {
-            const size_t row0 = static_cast<size_t>(block) * block_rows;
-            if (row0 * dim + rows.size() > vectors.size()) {
+            // Bounded before multiplying, so no offset can wrap.
+            if (n == 0 || block > (n - 1) / block_rows ||
+                rows.size() > (n - block * block_rows) * dim) {
               return Status::Corruption("tier hot block out of range");
             }
+            const size_t row0 = static_cast<size_t>(block) * block_rows;
             std::copy(rows.begin(), rows.end(),
                       vectors.begin() + row0 * dim);
           }

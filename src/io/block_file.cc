@@ -55,33 +55,34 @@ std::string BlockFile::Seal(uint32_t magic, uint32_t version,
   return blob;
 }
 
-Status BlockFile::Validate(uint32_t magic, uint32_t version,
-                           std::string_view what) const {
+StatusOr<std::string_view> BlockFile::Unseal(uint32_t magic, uint32_t version,
+                                              std::string_view blob,
+                                              std::string_view what) {
   const std::string w(what);
-  if (data_.size() < kPreludeBytes + kTrailerBytes) {
+  if (blob.size() < kPreludeBytes + kTrailerBytes) {
     return Status::Corruption(w + ": blob shorter than prelude");
   }
-  if (LoadU32(data_.data()) != magic) {
+  if (LoadU32(blob.data()) != magic) {
     return Status::Corruption(w + ": bad magic");
   }
-  const uint32_t got_version = LoadU32(data_.data() + 4);
+  const uint32_t got_version = LoadU32(blob.data() + 4);
   if (got_version != version) {
     return Status::Corruption(w + ": unsupported version " +
                               std::to_string(got_version));
   }
-  const uint64_t body_len = LoadU64(data_.data() + 8);
-  const uint64_t have = data_.size() - kPreludeBytes - kTrailerBytes;
+  const uint64_t body_len = LoadU64(blob.data() + 8);
+  const uint64_t have = blob.size() - kPreludeBytes - kTrailerBytes;
   if (body_len != have) {
     return Status::Corruption(w + ": body length mismatch (header says " +
                               std::to_string(body_len) + ", blob holds " +
                               std::to_string(have) + ")");
   }
-  const std::string_view body = data_.substr(kPreludeBytes, body_len);
+  const std::string_view body = blob.substr(kPreludeBytes, body_len);
   if (Fnv1a64(body.data(), body.size()) !=
-      LoadU64(data_.data() + kPreludeBytes + body_len)) {
+      LoadU64(blob.data() + kPreludeBytes + body_len)) {
     return Status::Corruption(w + ": body checksum mismatch");
   }
-  return Status::OK();
+  return body;
 }
 
 StatusOr<BlockFilePtr> BlockFile::FromBytes(uint32_t magic, uint32_t version,
@@ -90,7 +91,7 @@ StatusOr<BlockFilePtr> BlockFile::FromBytes(uint32_t magic, uint32_t version,
   std::shared_ptr<BlockFile> file(new BlockFile());
   file->bytes_ = std::move(bytes);
   file->data_ = file->bytes_;
-  MLFS_RETURN_IF_ERROR(file->Validate(magic, version, what));
+  MLFS_RETURN_IF_ERROR(Unseal(magic, version, file->data_, what).status());
   return BlockFilePtr(std::move(file));
 }
 
@@ -122,7 +123,7 @@ StatusOr<BlockFilePtr> BlockFile::Map(uint32_t magic, uint32_t version,
   file->remove_file_on_destroy_ = remove_file_on_destroy;
   file->data_ =
       std::string_view(static_cast<const char*>(map), file->map_len_);
-  MLFS_RETURN_IF_ERROR(file->Validate(magic, version, what));
+  MLFS_RETURN_IF_ERROR(Unseal(magic, version, file->data_, what).status());
   return BlockFilePtr(std::move(file));
 }
 

@@ -13,27 +13,26 @@ namespace mlfs {
 class BlockFile;
 using BlockFilePtr = std::shared_ptr<const BlockFile>;
 
-/// A checksummed immutable blob in the shared storage envelope
+/// The one envelope for every byte the store persists:
 ///
 ///   [u32 magic][u32 version][u64 body_len][body][u64 fnv1a64(body)]
 ///
-/// backed either by a resident buffer (FromBytes) or a read-only private
-/// file mapping (Map / Spill). This is the one place the offline columnar
-/// store ("MLSG" segments) and the embedding cold tier ("MLET" files)
-/// keep their envelope code: both formats carry the same prelude/trailer
-/// and differ only in the body payload, which the caller parses from
-/// body().
+/// Segments ("MLSG"), embedding tier files ("MLET"), the six component
+/// snapshots and the FeatureStore checkpoint file all differ only in the
+/// body. Unseal checks a blob in place; a BlockFile holds a checked blob
+/// in a resident buffer (FromBytes) or a read-only private file mapping
+/// (Map / Spill).
 ///
 /// Every envelope invariant — minimum length, magic, version, body length
-/// arithmetic, body checksum — is validated before a BlockFile is handed
+/// arithmetic, body checksum — is validated before a body byte is handed
 /// out, so a truncated or bit-flipped blob surfaces as Status::Corruption
 /// and never as UB in a body parser. Body-internal structure remains the
-/// caller's job.
+/// caller's job: a valid checksum does not make crafted input well-formed.
 ///
 /// Spill discipline: Spill() writes the blob with WriteFileAtomic
-/// (temp + rename) and re-opens it through Map, so a crash mid-spill
-/// leaves no half-written file behind and the resident copy can be
-/// dropped only once the mapping validated. Files opened with
+/// (temp + rename, no fsync) and re-opens it through Map, so a crash
+/// mid-spill leaves no half-written file behind and the resident copy can
+/// be dropped only once the mapping validated. Files opened with
 /// `remove_file_on_destroy` are scratch: deleted when the last reference
 /// drops.
 ///
@@ -48,12 +47,18 @@ class BlockFile {
   static constexpr size_t kTrailerBytes = 8;
 
   /// Wraps `body` in the envelope. The result round-trips through
-  /// FromBytes/Map with the same magic/version.
+  /// Unseal/FromBytes/Map with the same magic/version.
   static std::string Seal(uint32_t magic, uint32_t version,
                           std::string_view body);
 
-  /// Validates a blob held in RAM (the resident tier). `what` names the
-  /// format in error messages ("segment", "tier file", ...).
+  /// Checks `blob`'s envelope in place and returns a view of its body
+  /// (valid as long as `blob` is). `what` names the format in error
+  /// messages ("segment", "online-store snapshot", ...).
+  static StatusOr<std::string_view> Unseal(uint32_t magic, uint32_t version,
+                                           std::string_view blob,
+                                           std::string_view what);
+
+  /// Validates a blob held in RAM (the resident tier).
   static StatusOr<BlockFilePtr> FromBytes(uint32_t magic, uint32_t version,
                                           std::string bytes,
                                           std::string_view what);
@@ -98,10 +103,6 @@ class BlockFile {
 
  private:
   BlockFile() = default;
-
-  /// Envelope validation over data_ (set by the factories).
-  Status Validate(uint32_t magic, uint32_t version,
-                  std::string_view what) const;
 
   // Backing storage: exactly one of bytes_ (resident) or map_ (file
   // mapping) is active; data_ views whichever it is.

@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "common/serde.h"
+#include "io/block_file.h"
 
 namespace mlfs {
 
@@ -344,6 +345,7 @@ Status LineageGraph::RecordMaterialization(const ArtifactId& view,
 namespace {
 
 constexpr uint32_t kLineageSnapshotMagic = 0x4d4c4c47;  // "MLLG"
+constexpr uint32_t kLineageSnapshotVersion = 1;
 
 void PutArtifact(Encoder* enc, const ArtifactId& id) {
   enc->PutU8(static_cast<uint8_t>(id.kind));
@@ -390,7 +392,6 @@ StatusOr<StalenessInfo> GetStalenessInfo(Decoder* dec) {
 std::string LineageGraph::Snapshot() const {
   std::shared_lock lock(mu_);
   Encoder enc;
-  enc.PutFixed32(kLineageSnapshotMagic);
   enc.PutVarint64(nodes_.size());
   for (const Node& node : nodes_) PutArtifact(&enc, node.id);
   enc.PutVarint64(num_edges_);
@@ -415,7 +416,8 @@ std::string LineageGraph::Snapshot() const {
     enc.PutVarint64(event.impacted.size());
     for (const ArtifactId& id : event.impacted) PutArtifact(&enc, id);
   }
-  return enc.Release();
+  return BlockFile::Seal(kLineageSnapshotMagic, kLineageSnapshotVersion,
+                         enc.buffer());
 }
 
 Status LineageGraph::Restore(std::string_view snapshot) {
@@ -423,11 +425,11 @@ Status LineageGraph::Restore(std::string_view snapshot) {
   if (!nodes_.empty() || !events_.empty()) {
     return Status::FailedPrecondition("Restore requires an empty graph");
   }
-  Decoder dec(snapshot);
-  MLFS_ASSIGN_OR_RETURN(uint32_t magic, dec.GetFixed32());
-  if (magic != kLineageSnapshotMagic) {
-    return Status::Corruption("bad lineage snapshot magic");
-  }
+  MLFS_ASSIGN_OR_RETURN(
+      std::string_view body,
+      BlockFile::Unseal(kLineageSnapshotMagic, kLineageSnapshotVersion,
+                        snapshot, "lineage snapshot"));
+  Decoder dec(body);
   MLFS_ASSIGN_OR_RETURN(uint64_t num_nodes, dec.GetVarint64());
   for (uint64_t i = 0; i < num_nodes; ++i) {
     MLFS_ASSIGN_OR_RETURN(ArtifactId id, GetArtifact(&dec));

@@ -5,6 +5,7 @@
 
 #include "common/hash.h"
 #include "common/serde.h"
+#include "io/block_file.h"
 
 namespace mlfs {
 
@@ -183,12 +184,12 @@ size_t ModelRegistry::num_models() const {
 
 namespace {
 constexpr uint32_t kModelSnapshotMagic = 0x4d4c4d44;  // "MLMD"
+constexpr uint32_t kModelSnapshotVersion = 1;
 }  // namespace
 
 std::string ModelRegistry::Snapshot() const {
   std::lock_guard lock(mu_);
   Encoder enc;
-  enc.PutFixed32(kModelSnapshotMagic);
   uint64_t total = 0;
   for (const auto& [name, versions] : models_) total += versions.size();
   enc.PutVarint64(total);
@@ -217,7 +218,8 @@ std::string ModelRegistry::Snapshot() const {
       for (double w : record.weights) enc.PutDouble(w);
     }
   }
-  return enc.Release();
+  return BlockFile::Seal(kModelSnapshotMagic, kModelSnapshotVersion,
+                         enc.buffer());
 }
 
 Status ModelRegistry::Restore(std::string_view snapshot) {
@@ -225,11 +227,11 @@ Status ModelRegistry::Restore(std::string_view snapshot) {
   if (!models_.empty()) {
     return Status::FailedPrecondition("Restore requires an empty registry");
   }
-  Decoder dec(snapshot);
-  MLFS_ASSIGN_OR_RETURN(uint32_t magic, dec.GetFixed32());
-  if (magic != kModelSnapshotMagic) {
-    return Status::Corruption("bad model snapshot magic");
-  }
+  MLFS_ASSIGN_OR_RETURN(
+      std::string_view body,
+      BlockFile::Unseal(kModelSnapshotMagic, kModelSnapshotVersion, snapshot,
+                        "model snapshot"));
+  Decoder dec(body);
   MLFS_ASSIGN_OR_RETURN(uint64_t total, dec.GetVarint64());
   for (uint64_t i = 0; i < total; ++i) {
     ModelRecord record;
@@ -263,6 +265,9 @@ Status ModelRegistry::Restore(std::string_view snapshot) {
     record.trained_at = static_cast<Timestamp>(trained_at);
     MLFS_ASSIGN_OR_RETURN(record.weights_checksum, dec.GetFixed64());
     MLFS_ASSIGN_OR_RETURN(uint64_t num_weights, dec.GetVarint64());
+    if (num_weights > dec.remaining() / sizeof(double)) {
+      return Status::Corruption("model weight count exceeds snapshot");
+    }
     record.weights.resize(num_weights);
     for (auto& w : record.weights) {
       MLFS_ASSIGN_OR_RETURN(w, dec.GetDouble());

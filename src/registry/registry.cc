@@ -5,6 +5,7 @@
 #include "common/serde.h"
 #include "expr/evaluator.h"
 #include "expr/parser.h"
+#include "io/block_file.h"
 
 namespace mlfs {
 
@@ -178,12 +179,12 @@ size_t FeatureRegistry::num_features() const {
 
 namespace {
 constexpr uint32_t kRegistrySnapshotMagic = 0x4d4c4647;  // "MLFG"
+constexpr uint32_t kRegistrySnapshotVersion = 1;
 }  // namespace
 
 std::string FeatureRegistry::Snapshot() const {
   std::lock_guard lock(mu_);
   Encoder enc;
-  enc.PutFixed32(kRegistrySnapshotMagic);
   uint64_t total = 0;
   for (const auto& [name, versions] : features_) total += versions.size();
   enc.PutVarint64(total);
@@ -207,7 +208,8 @@ std::string FeatureRegistry::Snapshot() const {
       enc.PutU8(reg.deprecated ? 1 : 0);
     }
   }
-  return enc.Release();
+  return BlockFile::Seal(kRegistrySnapshotMagic, kRegistrySnapshotVersion,
+                         enc.buffer());
 }
 
 Status FeatureRegistry::Restore(std::string_view snapshot) {
@@ -215,11 +217,11 @@ Status FeatureRegistry::Restore(std::string_view snapshot) {
   if (!features_.empty()) {
     return Status::FailedPrecondition("Restore requires an empty registry");
   }
-  Decoder dec(snapshot);
-  MLFS_ASSIGN_OR_RETURN(uint32_t magic, dec.GetFixed32());
-  if (magic != kRegistrySnapshotMagic) {
-    return Status::Corruption("bad registry snapshot magic");
-  }
+  MLFS_ASSIGN_OR_RETURN(
+      std::string_view body,
+      BlockFile::Unseal(kRegistrySnapshotMagic, kRegistrySnapshotVersion,
+                        snapshot, "registry snapshot"));
+  Decoder dec(body);
   MLFS_ASSIGN_OR_RETURN(uint64_t total, dec.GetVarint64());
   for (uint64_t i = 0; i < total; ++i) {
     RegisteredFeature reg;

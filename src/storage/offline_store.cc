@@ -8,8 +8,8 @@
 
 #include "common/failpoint.h"
 #include "common/serde.h"
+#include "io/block_file.h"
 #include "storage/entity_key.h"
-#include "storage/persistence.h"
 #include "storage/segment_batch.h"
 
 namespace mlfs {
@@ -19,6 +19,9 @@ namespace {
 /// amortize the per-batch dispatch, small enough that every register of a
 /// typical program stays cache-resident.
 constexpr size_t kEvalBatchRows = 1024;
+/// Spill file sequence, process-wide: a table and its restored copy share
+/// name and spill_dir.
+std::atomic<uint64_t> g_spill_seq{0};
 }  // namespace
 
 OfflineTable::OfflineTable(OfflineTableOptions options)
@@ -785,7 +788,7 @@ Status OfflineTable::EnforceBudgetInner() {
   for (Victim& v : victims) {
     const std::string path =
         options_.spill_dir + "/" + options_.name + "_p" +
-        std::to_string(v.pid) + "_" + std::to_string(spill_seq_++) + ".seg";
+        std::to_string(v.pid) + "_" + std::to_string(g_spill_seq++) + ".seg";
     // Write + map + validate off-lock (Segment::SpillToFile: atomic write
     // + mmap reopen, no file left behind on failure); readers keep using
     // the resident blob until the swap below, and on any failure the
@@ -867,22 +870,24 @@ void OfflineTable::StopMaintenance() {
 // --- Snapshots -----------------------------------------------------------
 
 namespace {
-// Legacy (PR <= 5) row-stream snapshot.
-constexpr uint32_t kSnapshotMagic = 0x4d4c4653;  // "MLFS"
-// Segment-carrying snapshot: sealed segments are embedded verbatim
-// (checksums and all) and only the mutable heads travel as a row stream.
-constexpr uint32_t kSnapshotMagicV2 = 0x4d4c4632;  // "MLF2"
+// Sealed segments travel verbatim (checksums and all); only the mutable
+// heads travel as a row stream.
+constexpr uint32_t kTableSnapshotMagic = 0x4d4c4654;  // "MLFT"
+constexpr uint32_t kTableSnapshotVersion = 1;
 }  // namespace
 
 std::string OfflineTable::Snapshot() const {
   std::shared_lock lock(mu_);
   Encoder enc;
-  enc.PutFixed32(kSnapshotMagicV2);
   enc.PutString(options_.name);
   enc.PutString(options_.entity_column);
   enc.PutString(options_.time_column);
   enc.PutFixed64(static_cast<uint64_t>(options_.partition_granularity));
   enc.PutSchema(*options_.schema);
+  enc.PutVarint64(options_.seal_rows);
+  enc.PutVarint64(options_.memory_budget_bytes);
+  enc.PutString(options_.spill_dir);
+  enc.PutVarint64(options_.compact_min_segments);
   size_t num_segments = 0;
   size_t head_rows = 0;
   for (const auto& [pid, part] : partitions_) {
@@ -897,7 +902,8 @@ std::string OfflineTable::Snapshot() const {
   for (const auto& [pid, part] : partitions_) {
     for (const Row& row : part.head_rows) enc.PutRow(row);
   }
-  return enc.Release();
+  return BlockFile::Seal(kTableSnapshotMagic, kTableSnapshotVersion,
+                         enc.buffer());
 }
 
 Status OfflineTable::AdoptSegmentLocked(const SegmentPtr& seg) {
@@ -942,71 +948,37 @@ Status OfflineTable::AdoptSegmentLocked(const SegmentPtr& seg) {
   return Status::OK();
 }
 
-namespace {
-
-struct SnapshotHeader {
-  uint32_t magic = 0;
+StatusOr<std::unique_ptr<OfflineTable>> OfflineTable::FromSnapshot(
+    std::string_view snapshot) {
+  MLFS_ASSIGN_OR_RETURN(
+      std::string_view body,
+      BlockFile::Unseal(kTableSnapshotMagic, kTableSnapshotVersion, snapshot,
+                        "offline-table snapshot"));
+  Decoder dec(body);
   OfflineTableOptions options;
-};
-
-StatusOr<SnapshotHeader> ReadSnapshotHeader(Decoder* dec) {
-  SnapshotHeader header;
-  MLFS_ASSIGN_OR_RETURN(header.magic, dec->GetFixed32());
-  if (header.magic != kSnapshotMagic && header.magic != kSnapshotMagicV2) {
-    return Status::Corruption("bad snapshot magic");
-  }
-  MLFS_ASSIGN_OR_RETURN(header.options.name, dec->GetString());
-  MLFS_ASSIGN_OR_RETURN(header.options.entity_column, dec->GetString());
-  MLFS_ASSIGN_OR_RETURN(header.options.time_column, dec->GetString());
-  MLFS_ASSIGN_OR_RETURN(uint64_t granularity, dec->GetFixed64());
-  header.options.partition_granularity =
-      static_cast<Timestamp>(granularity);
-  MLFS_ASSIGN_OR_RETURN(header.options.schema, dec->GetSchema());
-  return header;
-}
-
-}  // namespace
-
-Status OfflineTable::Restore(std::string_view snapshot) {
-  {
-    std::shared_lock lock(mu_);
-    if (num_rows_ != 0 || !partitions_.empty()) {
-      return Status::FailedPrecondition("Restore requires an empty table");
-    }
-  }
-  Decoder dec(snapshot);
-  MLFS_ASSIGN_OR_RETURN(SnapshotHeader header, ReadSnapshotHeader(&dec));
-  if (header.options.name != options_.name) {
-    return Status::InvalidArgument("snapshot is for table '" +
-                                   header.options.name + "'");
-  }
-  if (!(*header.options.schema == *options_.schema)) {
-    return Status::InvalidArgument("snapshot schema does not match table");
-  }
-  std::unique_lock lock(mu_);
-  if (header.magic == kSnapshotMagicV2) {
-    MLFS_ASSIGN_OR_RETURN(uint64_t num_segments, dec.GetVarint64());
-    for (uint64_t s = 0; s < num_segments; ++s) {
-      MLFS_ASSIGN_OR_RETURN(std::string blob, dec.GetString());
-      MLFS_ASSIGN_OR_RETURN(SegmentPtr seg,
-                            Segment::FromBytes(std::move(blob)));
-      MLFS_RETURN_IF_ERROR(AdoptSegmentLocked(seg));
-    }
+  MLFS_ASSIGN_OR_RETURN(options.name, dec.GetString());
+  MLFS_ASSIGN_OR_RETURN(options.entity_column, dec.GetString());
+  MLFS_ASSIGN_OR_RETURN(options.time_column, dec.GetString());
+  MLFS_ASSIGN_OR_RETURN(uint64_t granularity, dec.GetFixed64());
+  options.partition_granularity = static_cast<Timestamp>(granularity);
+  MLFS_ASSIGN_OR_RETURN(options.schema, dec.GetSchema());
+  MLFS_ASSIGN_OR_RETURN(options.seal_rows, dec.GetVarint64());
+  MLFS_ASSIGN_OR_RETURN(options.memory_budget_bytes, dec.GetVarint64());
+  MLFS_ASSIGN_OR_RETURN(options.spill_dir, dec.GetString());
+  MLFS_ASSIGN_OR_RETURN(options.compact_min_segments, dec.GetVarint64());
+  MLFS_ASSIGN_OR_RETURN(auto table, Create(std::move(options)));
+  std::unique_lock lock(table->mu_);
+  MLFS_ASSIGN_OR_RETURN(uint64_t num_segments, dec.GetVarint64());
+  for (uint64_t s = 0; s < num_segments; ++s) {
+    MLFS_ASSIGN_OR_RETURN(std::string blob, dec.GetString());
+    MLFS_ASSIGN_OR_RETURN(SegmentPtr seg, Segment::FromBytes(std::move(blob)));
+    MLFS_RETURN_IF_ERROR(table->AdoptSegmentLocked(seg));
   }
   MLFS_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint64());
   for (uint64_t i = 0; i < n; ++i) {
-    MLFS_ASSIGN_OR_RETURN(Row row, dec.GetRow(options_.schema));
-    MLFS_RETURN_IF_ERROR(AppendLocked(row));
+    MLFS_ASSIGN_OR_RETURN(Row row, dec.GetRow(table->options_.schema));
+    MLFS_RETURN_IF_ERROR(table->AppendLocked(row));
   }
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<OfflineTable>> OfflineTable::FromSnapshot(
-    std::string_view snapshot) {
-  Decoder probe(snapshot);
-  MLFS_ASSIGN_OR_RETURN(SnapshotHeader header, ReadSnapshotHeader(&probe));
-  MLFS_ASSIGN_OR_RETURN(auto table, Create(std::move(header.options)));
-  MLFS_RETURN_IF_ERROR(table->Restore(snapshot));
   return table;
 }
 

@@ -271,18 +271,15 @@ class OfflineTable {
   /// Event time of the newest row, or kMinTimestamp when empty.
   Timestamp max_event_time() const;
 
-  /// Serializes the table: options (name, key/time columns, granularity),
-  /// schema, sealed segments (encoded blobs, checksums and all) and the
-  /// mutable heads' rows. Self-contained: FromSnapshot() reconstructs the
-  /// table — including its sealed tier — without external metadata.
+  /// Serializes the table, sealed in the BlockFile envelope ("MLFT"):
+  /// options (name, key/time columns, granularity, schema, seal_rows,
+  /// memory_budget_bytes, spill_dir, compact_min_segments; not readahead,
+  /// which can hold a borrowed pool pointer), sealed segments (encoded
+  /// blobs, checksums and all) and the mutable heads' rows.
   std::string Snapshot() const;
 
-  /// Restores from `Snapshot()` output into this (empty) table; the
-  /// snapshot's name and schema must match. Understands both the current
-  /// segment-carrying format and the legacy row-stream format.
-  Status Restore(std::string_view snapshot);
-
-  /// Reconstructs a table (options + data) from `Snapshot()` output.
+  /// The one table restore: checks the envelope, then rebuilds the table —
+  /// options, sealed tier and heads — from `Snapshot()` output alone.
   static StatusOr<std::unique_ptr<OfflineTable>> FromSnapshot(
       std::string_view snapshot);
 
@@ -390,7 +387,6 @@ class OfflineTable {
   // Serializes compaction/spill passes so their off-lock work never
   // targets a segment another maintenance pass is replacing.
   std::mutex maintenance_mu_;
-  uint64_t spill_seq_ = 0;  // Guarded by maintenance_mu_.
   std::atomic<uint64_t> maintenance_errors_{0};
 
   /// Spilled-segment prefetcher for AsOfBatch; always constructed (a

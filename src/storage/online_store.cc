@@ -4,6 +4,7 @@
 
 #include "common/failpoint.h"
 #include "common/serde.h"
+#include "io/block_file.h"
 #include "storage/entity_key.h"
 
 namespace mlfs {
@@ -101,6 +102,11 @@ Status OnlineStore::CreateView(const std::string& view, SchemaPtr schema) {
 bool OnlineStore::HasView(const std::string& view) const {
   std::shared_lock lock(views_mu_);
   return views_.count(view) > 0;
+}
+
+size_t OnlineStore::num_views() const {
+  std::shared_lock lock(views_mu_);
+  return views_.size();
 }
 
 StatusOr<SchemaPtr> OnlineStore::ViewSchema(const std::string& view) const {
@@ -515,11 +521,11 @@ OnlineStoreStats OnlineStore::stats() const {
 
 namespace {
 constexpr uint32_t kOnlineSnapshotMagic = 0x4d4c4f4e;  // "MLON"
+constexpr uint32_t kOnlineSnapshotVersion = 1;
 }  // namespace
 
 std::string OnlineStore::Snapshot() const {
   Encoder enc;
-  enc.PutFixed32(kOnlineSnapshotMagic);
   {
     std::shared_lock lock(views_mu_);
     enc.PutVarint64(views_.size());
@@ -542,17 +548,21 @@ std::string OnlineStore::Snapshot() const {
       enc.PutRow(cell.row);
     });
   }
-  return enc.Release();
+  return BlockFile::Seal(kOnlineSnapshotMagic, kOnlineSnapshotVersion,
+                         enc.buffer());
 }
 
 Status OnlineStore::Restore(std::string_view snapshot) {
-  Decoder dec(snapshot);
-  MLFS_ASSIGN_OR_RETURN(uint32_t magic, dec.GetFixed32());
-  if (magic != kOnlineSnapshotMagic) {
-    return Status::Corruption("bad online-store snapshot magic");
+  if (num_views() != 0) {
+    return Status::FailedPrecondition("Restore requires an empty store");
   }
-  MLFS_ASSIGN_OR_RETURN(uint64_t num_views, dec.GetVarint64());
-  for (uint64_t i = 0; i < num_views; ++i) {
+  MLFS_ASSIGN_OR_RETURN(
+      std::string_view body,
+      BlockFile::Unseal(kOnlineSnapshotMagic, kOnlineSnapshotVersion,
+                        snapshot, "online-store snapshot"));
+  Decoder dec(body);
+  MLFS_ASSIGN_OR_RETURN(uint64_t view_count, dec.GetVarint64());
+  for (uint64_t i = 0; i < view_count; ++i) {
     MLFS_ASSIGN_OR_RETURN(std::string view, dec.GetString());
     MLFS_ASSIGN_OR_RETURN(SchemaPtr schema, dec.GetSchema());
     MLFS_RETURN_IF_ERROR(CreateView(view, std::move(schema)));

@@ -64,6 +64,7 @@ class OnlineStore {
   Status CreateView(const std::string& view, SchemaPtr schema);
 
   bool HasView(const std::string& view) const;
+  size_t num_views() const;
   StatusOr<SchemaPtr> ViewSchema(const std::string& view) const;
 
   /// Upserts the row for (view, entity_key). Drops the write (counted in
@@ -98,12 +99,12 @@ class OnlineStore {
 
   OnlineStoreStats stats() const;
 
-  /// Serializes views (name + schema) and all cells. Traffic counters are
-  /// not persisted.
+  /// Serializes views (name + schema) and all cells, sealed in the
+  /// BlockFile envelope ("MLON"). Traffic counters are not persisted.
   std::string Snapshot() const;
 
-  /// Restores a Snapshot() into this store; existing views with the same
-  /// name must not exist.
+  /// Restores a Snapshot() into this store, which must have no views
+  /// (FailedPrecondition). The envelope is checked before anything changes.
   Status Restore(std::string_view snapshot);
 
  private:

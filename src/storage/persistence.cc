@@ -1,8 +1,8 @@
 #include "storage/persistence.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -13,11 +13,20 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr char kOfflineSuffix[] = ".offline.mlfs";
+// Flushes a file, or a directory's entries, to stable storage.
+Status Sync(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::Internal("cannot open '" + path + "' to sync");
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) return Status::Internal("fsync failed for '" + path + "'");
+  return Status::OK();
+}
 
 }  // namespace
 
-Status WriteFileAtomic(const std::string& path, std::string_view data) {
+Status WriteFileAtomic(const std::string& path, std::string_view data,
+                       bool durable) {
   MLFS_FAILPOINT("persistence.write");
   std::error_code ec;
   fs::path target(path);
@@ -40,70 +49,14 @@ Status WriteFileAtomic(const std::string& path, std::string_view data) {
       return Status::Internal("short write to '" + temp.string() + "'");
     }
   }
+  if (durable) MLFS_RETURN_IF_ERROR(Sync(temp.string()));
   fs::rename(temp, target, ec);
   if (ec) {
     return Status::Internal("rename failed: " + ec.message());
   }
-  return Status::OK();
-}
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  MLFS_FAILPOINT("persistence.read");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::Internal("read failed for '" + path + "'");
-  }
-  return data;
-}
-
-StatusOr<std::vector<std::string>> CheckpointOfflineStore(
-    const OfflineStore& store, const std::string& dir) {
-  std::vector<std::string> written;
-  for (const std::string& name : store.TableNames()) {
-    MLFS_ASSIGN_OR_RETURN(OfflineTable * table, store.GetTable(name));
-    std::string file = name + kOfflineSuffix;
-    MLFS_RETURN_IF_ERROR(
-        WriteFileAtomic((fs::path(dir) / file).string(), table->Snapshot()));
-    written.push_back(std::move(file));
-  }
-  return written;
-}
-
-Status RestoreOfflineStore(OfflineStore* store, const std::string& dir) {
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::NotFound("cannot list '" + dir + "': " + ec.message());
-  }
-  for (const auto& entry : it) {
-    const std::string file = entry.path().filename().string();
-    if (file.size() < sizeof(kOfflineSuffix) ||
-        file.compare(file.size() - (sizeof(kOfflineSuffix) - 1),
-                     std::string::npos, kOfflineSuffix) != 0) {
-      continue;
-    }
-    MLFS_ASSIGN_OR_RETURN(std::string data, ReadFile(entry.path().string()));
-    MLFS_ASSIGN_OR_RETURN(auto table, OfflineTable::FromSnapshot(data));
-    MLFS_RETURN_IF_ERROR(store->AdoptTable(std::move(table)));
-  }
-  return Status::OK();
-}
-
-Status CheckpointOnlineStore(const OnlineStore& store,
-                             const std::string& dir) {
-  return WriteFileAtomic((fs::path(dir) / "online.mlfs").string(),
-                         store.Snapshot());
-}
-
-Status RestoreOnlineStore(OnlineStore* store, const std::string& dir) {
-  MLFS_ASSIGN_OR_RETURN(std::string data,
-                        ReadFile((fs::path(dir) / "online.mlfs").string()));
-  return store->Restore(data);
+  if (!durable) return Status::OK();
+  // The rename is durable only once the directory entry is.
+  return Sync(target.has_parent_path() ? target.parent_path().string() : ".");
 }
 
 }  // namespace mlfs

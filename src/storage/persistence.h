@@ -2,39 +2,22 @@
 #define MLFS_STORAGE_PERSISTENCE_H_
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/status.h"
-#include "storage/offline_store.h"
-#include "storage/online_store.h"
 
 namespace mlfs {
 
-/// Durable checkpointing for the dual datastore. The stores themselves are
-/// in-memory engines; checkpoints make restarts and migrations possible
-/// without replaying ingestion.
-
-/// Writes `data` to `path` atomically (temp file + rename).
-Status WriteFileAtomic(const std::string& path, std::string_view data);
-
-/// Reads a whole file.
-StatusOr<std::string> ReadFile(const std::string& path);
-
-/// Checkpoints every table of `store` into `dir/<table>.offline.mlfs`.
-/// Creates `dir` if needed. Returns the file names written.
-StatusOr<std::vector<std::string>> CheckpointOfflineStore(
-    const OfflineStore& store, const std::string& dir);
-
-/// Restores every `*.offline.mlfs` file in `dir` into `store` (tables are
-/// created from the self-contained snapshots; name collisions fail).
-Status RestoreOfflineStore(OfflineStore* store, const std::string& dir);
-
-/// Checkpoints the online store into `dir/online.mlfs`.
-Status CheckpointOnlineStore(const OnlineStore& store,
-                             const std::string& dir);
-
-/// Restores `dir/online.mlfs` into `store`.
-Status RestoreOnlineStore(OnlineStore* store, const std::string& dir);
+/// Writes `data` to `path` atomically: a temp file renamed over `path`, so
+/// readers see the old file or the new one, never a mix. What the store
+/// writes is always one BlockFile envelope (io/block_file.h), read back
+/// through BlockFile::Map: a spilled segment or tier file, or the one
+/// `checkpoint.mlfs` of FeatureStore::Checkpoint. With `durable` (only
+/// checkpoints) the temp file is fsynced before the rename and the parent
+/// directory after it; spill scratch files skip both. Creates the parent
+/// directory if needed. Failpoint: "persistence.write", at the top.
+Status WriteFileAtomic(const std::string& path, std::string_view data,
+                       bool durable = false);
 
 }  // namespace mlfs
 

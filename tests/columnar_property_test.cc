@@ -597,36 +597,5 @@ TEST(ColumnarSnapshotTest, SnapshotRoundTripMatchesOracle) {
   EXPECT_GT(stats.sealed_segments, 0u);  // Segments traveled as segments.
 }
 
-// The legacy (pre-columnar) row-stream snapshot format must still restore.
-TEST(ColumnarSnapshotTest, LegacyV1SnapshotStillRestores) {
-  Rng rng(0x1e9a);
-  const SchemaPtr schema = SourceSchema(/*string_keys=*/false);
-  TablePair pair = MakePair(rng, schema, "legacy", "");
-  std::vector<Row> rows;
-  for (int i = 0; i < 120; ++i) {
-    rows.push_back(RandomRow(rng, schema, false, 5, i));
-  }
-  AppendBoth(pair, rows);
-
-  // Hand-encode the v1 format: magic "MLFS", options, then a bare row
-  // stream in partition order (which for the oracle is Scan order).
-  Encoder enc;
-  enc.PutFixed32(0x4d4c4653);
-  enc.PutString("legacy");
-  enc.PutString("key");
-  enc.PutString("event_time");
-  enc.PutFixed64(static_cast<uint64_t>(kMicrosPerDay));
-  enc.PutSchema(*schema);
-  const std::vector<Row> in_order = pair.oracle->Scan({}).value();
-  enc.PutVarint64(in_order.size());
-  for (const Row& row : in_order) enc.PutRow(row);
-
-  auto restored = OfflineTable::FromSnapshot(enc.Release());
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(RowsBytes((*restored)->Scan({}).value()),
-            RowsBytes(pair.oracle->Scan({}).value()));
-  EXPECT_EQ((*restored)->num_rows(), pair.oracle->num_rows());
-}
-
 }  // namespace
 }  // namespace mlfs

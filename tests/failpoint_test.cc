@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <thread>
 #include <vector>
 
+#include "core/feature_store.h"
 #include "storage/online_store.h"
-#include "storage/persistence.h"
 
 namespace mlfs {
 namespace {
@@ -194,12 +197,16 @@ TEST_F(FailpointTest, MultiGetEvaluatesFailpointOncePerKey) {
 }
 
 TEST_F(FailpointTest, PersistenceWriteFailpointBlocksCheckpoint) {
-  OnlineStore store;
+  FeatureStore store;
   FailpointConfig config;
   config.status = Status::Internal("disk full");
   ScopedFailpoint fp("persistence.write", config);
-  Status s = CheckpointOnlineStore(store, "/tmp/mlfs_failpoint_test_ckpt");
+  const std::string dir =
+      ::testing::TempDir() + "mlfs_failpoint_test_ckpt_" +
+      std::to_string(::getpid());
+  Status s = store.Checkpoint(dir);
   EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/checkpoint.mlfs"));
 }
 
 TEST_F(FailpointTest, ConcurrentEvaluationsAreCounted) {

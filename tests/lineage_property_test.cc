@@ -238,9 +238,9 @@ TEST(LineagePropertyTest, FourWaySnapshotRestoreRoundTrip) {
 }
 
 TEST(LineagePropertyTest, RestoreWithoutGraphSnapshotStillRebuildsEdges) {
-  // Losing the graph snapshot (e.g. a pre-lineage checkpoint) degrades
-  // gracefully: silo restores rebuild the full edge structure; only the
-  // staleness annotations and the event log are gone.
+  // Restoring the silos without the graph snapshot degrades gracefully:
+  // silo restores rebuild the full edge structure; only the staleness
+  // annotations and the event log are gone.
   Rng rng(42);
   World original;
   RandomMutations(&original, &rng, 80);

@@ -343,10 +343,10 @@ TEST(OfflineTableTest, SnapshotRestoreRoundTrip) {
                                      rng.Uniform(Days(5)), i, rng.Gaussian()))
                     .ok());
   }
-  std::string snap = table->Snapshot();
-
-  auto restored = OfflineTable::Create(TestOptions()).value();
-  ASSERT_TRUE(restored->Restore(snap).ok());
+  auto rebuilt = OfflineTable::FromSnapshot(table->Snapshot());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  const std::unique_ptr<OfflineTable>& restored = *rebuilt;
+  EXPECT_EQ(restored->name(), table->name());
   EXPECT_EQ(restored->num_rows(), 100u);
   EXPECT_EQ(restored->max_event_time(), table->max_event_time());
   // As-of results must match on all probes.
@@ -361,13 +361,22 @@ TEST(OfflineTableTest, SnapshotRestoreRoundTrip) {
 }
 
 TEST(OfflineTableTest, RestoreRejectsBadInput) {
-  auto table = OfflineTable::Create(TestOptions()).value();
-  EXPECT_FALSE(table->Restore("garbage").ok());
+  EXPECT_EQ(OfflineTable::FromSnapshot("garbage").status().code(),
+            StatusCode::kCorruption);
 
-  auto schema = TestSchema();
-  ASSERT_TRUE(table->Append(MakeRow(schema, 1, 0, 1, 1.0)).ok());
-  std::string snap = table->Snapshot();
-  EXPECT_TRUE(table->Restore(snap).IsFailedPrecondition());
+  auto table = OfflineTable::Create(TestOptions()).value();
+  ASSERT_TRUE(table->Append(MakeRow(TestSchema(), 1, 0, 1, 1.0)).ok());
+  const std::string snap = table->Snapshot();
+  ASSERT_TRUE(OfflineTable::FromSnapshot(snap).ok());
+  // A cut-short snapshot and one with a changed byte are both refused.
+  EXPECT_EQ(OfflineTable::FromSnapshot(snap.substr(0, snap.size() - 1))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  std::string flipped = snap;
+  flipped[flipped.size() / 2] ^= 0x01;
+  EXPECT_EQ(OfflineTable::FromSnapshot(flipped).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(OfflineStoreTest, TableRegistry) {

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "common/rng.h"
+#include "core/feature_store.h"
 
 namespace mlfs {
 namespace {
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
 
 class PersistenceTest : public ::testing::Test {
  protected:
@@ -27,13 +35,13 @@ TEST_F(PersistenceTest, FileRoundTrip) {
   std::string path = dir_ + "/sub/file.bin";
   std::string data("\x00\x01binary\xff", 9);
   ASSERT_TRUE(WriteFileAtomic(path, data).ok());
-  auto read = ReadFile(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, data);
-  EXPECT_TRUE(ReadFile(dir_ + "/missing").status().IsNotFound());
-  // Overwrite is atomic and replaces content.
+  EXPECT_EQ(ReadBytes(path), data);
+  // Overwrite is atomic and replaces content; a durable write too.
   ASSERT_TRUE(WriteFileAtomic(path, "short").ok());
-  EXPECT_EQ(ReadFile(path).value(), "short");
+  EXPECT_EQ(ReadBytes(path), "short");
+  ASSERT_TRUE(WriteFileAtomic(path, "durable", /*durable=*/true).ok());
+  EXPECT_EQ(ReadBytes(path), "durable");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 OfflineTableOptions TableOptions(const std::string& name) {
@@ -73,20 +81,18 @@ void FillTable(OfflineStore* store, const std::string& name, uint64_t seed) {
 }
 
 TEST_F(PersistenceTest, OfflineStoreCheckpointRestore) {
-  OfflineStore original;
-  FillTable(&original, "alpha", 1);
-  FillTable(&original, "beta", 2);
+  FeatureStore original;
+  FillTable(&original.offline(), "alpha", 1);
+  FillTable(&original.offline(), "beta", 2);
+  ASSERT_TRUE(original.Checkpoint(dir_).ok());
 
-  auto written = CheckpointOfflineStore(original, dir_);
-  ASSERT_TRUE(written.ok()) << written.status();
-  EXPECT_EQ(written->size(), 2u);
-
-  OfflineStore restored;
-  ASSERT_TRUE(RestoreOfflineStore(&restored, dir_).ok());
-  EXPECT_EQ(restored.TableNames(),
+  FeatureStore restored;
+  const Status status = restored.RestoreCheckpoint(dir_);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(restored.offline().TableNames(),
             (std::vector<std::string>{"alpha", "beta"}));
-  auto original_table = original.GetTable("alpha").value();
-  auto restored_table = restored.GetTable("alpha").value();
+  auto original_table = original.offline().GetTable("alpha").value();
+  auto restored_table = restored.offline().GetTable("alpha").value();
   EXPECT_EQ(restored_table->num_rows(), original_table->num_rows());
   EXPECT_EQ(restored_table->max_event_time(),
             original_table->max_event_time());
@@ -100,8 +106,9 @@ TEST_F(PersistenceTest, OfflineStoreCheckpointRestore) {
       EXPECT_EQ(*a, *b);
     }
   }
-  // Restoring again collides.
-  EXPECT_TRUE(RestoreOfflineStore(&restored, dir_).IsAlreadyExists());
+  // The restored store is no longer fresh, so a second restore is refused.
+  EXPECT_TRUE(restored.RestoreCheckpoint(dir_).IsFailedPrecondition());
+  EXPECT_EQ(restored.offline().TableNames().size(), 2u);
 }
 
 TEST_F(PersistenceTest, OfflineTableFromSnapshotStandalone) {
@@ -136,13 +143,13 @@ TEST_F(PersistenceTest, OnlineStoreSnapshotRestore) {
               .ok());
     }
   }
-  ASSERT_TRUE(CheckpointOnlineStore(original, dir_).ok());
+  const std::string snapshot = original.Snapshot();
 
   // Restore into a store with a different shard count.
   OnlineStoreOptions other;
   other.num_shards = 3;
   OnlineStore restored(other);
-  ASSERT_TRUE(RestoreOnlineStore(&restored, dir_).ok());
+  ASSERT_TRUE(restored.Restore(snapshot).ok());
   EXPECT_EQ(restored.stats().num_cells, original.stats().num_cells);
   EXPECT_TRUE(restored.HasView("f1"));
   EXPECT_TRUE(restored.HasView("f2"));
@@ -157,17 +164,20 @@ TEST_F(PersistenceTest, OnlineStoreSnapshotRestore) {
   // TTLs survive: everything expires after 105h.
   EXPECT_EQ(restored.EvictExpired(Hours(200)), 100u);
 
-  // Restoring into a store that already has the views fails cleanly.
-  EXPECT_FALSE(RestoreOnlineStore(&restored, dir_).ok());
+  // Restoring into a store that already has views is refused.
+  EXPECT_TRUE(restored.Restore(snapshot).IsFailedPrecondition());
+  EXPECT_EQ(restored.num_views(), 2u);
 }
 
 TEST_F(PersistenceTest, CorruptSnapshotsRejected) {
   OnlineStore store;
-  EXPECT_FALSE(store.Restore("garbage").ok());
-  EXPECT_TRUE(RestoreOnlineStore(&store, dir_).IsNotFound());
-  OfflineStore offline;
-  EXPECT_TRUE(RestoreOfflineStore(&offline, dir_ + "/missing")
-                  .IsNotFound());
+  EXPECT_EQ(store.Restore("garbage").code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.num_views(), 0u);
+  // A directory without a checkpoint file, and no directory at all.
+  FeatureStore feature_store;
+  ASSERT_TRUE(WriteFileAtomic(dir_ + "/other.bin", "x").ok());
+  EXPECT_TRUE(feature_store.RestoreCheckpoint(dir_).IsNotFound());
+  EXPECT_TRUE(feature_store.RestoreCheckpoint(dir_ + "/missing").IsNotFound());
 }
 
 }  // namespace
