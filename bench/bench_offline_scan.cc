@@ -11,12 +11,18 @@
 //   tier 1  sealed   everything sealed + compacted, segments resident
 //   tier 2  spilled  everything sealed, segments memory-mapped from disk
 //
+// The write path has its own two cases over an events-like schema (string
+// entity key, timestamp, two doubles, an int, a small-category string):
+//   BM_SealHead          Encode + open of one 8192-row head
+//   BM_CompactPartition  Merge + open of 16 sealed 8192-row segments
+//
 // Medians are committed as bench/BENCH_offline_scan.json:
 //   ./bench_offline_scan --benchmark_repetitions=5
 //       --benchmark_report_aggregates_only=true --benchmark_format=json
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -285,6 +291,81 @@ BENCHMARK(BM_AsOfBatchColdRead)
     ->Args({50, 1, 1})
     ->Args({50, 1, 4})
     ->Unit(benchmark::kMillisecond);
+
+// --- Write path: sealing and compaction ----------------------------------
+
+constexpr size_t kHeadRows = 8192;
+constexpr size_t kCompactSegments = 16;
+
+SchemaPtr EventsSchema() {
+  return Schema::Create({{"user", FeatureType::kString, false},
+                         {"ts", FeatureType::kTimestamp, false},
+                         {"a", FeatureType::kDouble, true},
+                         {"b", FeatureType::kDouble, true},
+                         {"n", FeatureType::kInt64, true},
+                         {"cat", FeatureType::kString, true}})
+      .value();
+}
+
+/// kCompactSegments heads of kHeadRows events over 50k entities within one
+/// day (one partition), and the sealed segment of each.
+struct WriteFixture {
+  SchemaPtr schema = EventsSchema();
+  std::vector<std::vector<Row>> heads;
+  std::vector<SegmentPtr> segments;
+
+  WriteFixture() {
+    Rng rng(19);
+    char key[32];
+    for (size_t s = 0; s < kCompactSegments; ++s) {
+      std::vector<Row>& head = heads.emplace_back();
+      for (size_t i = 0; i < kHeadRows; ++i) {
+        std::snprintf(key, sizeof(key), "u%07zu",
+                      static_cast<size_t>(rng.Uniform(50000)));
+        head.push_back(Row::CreateUnsafe(
+            schema,
+            {Value::String(key),
+             Value::Time(static_cast<Timestamp>(rng.Uniform(Days(1)))),
+             Value::Double(rng.Gaussian(50, 10)),
+             Value::Double(rng.UniformDouble(0, 100)),
+             Value::Int64(rng.UniformInt(0, 9)),
+             Value::String("cat_" + std::to_string(rng.Uniform(8)))}));
+      }
+      segments.push_back(
+          Segment::FromBytes(Segment::Encode(schema, 0, 0, 1, head).value())
+              .value());
+    }
+  }
+};
+
+WriteFixture& Writes() {
+  static auto* fixture = new WriteFixture();
+  return *fixture;
+}
+
+void BM_SealHead(benchmark::State& state) {
+  auto& fixture = Writes();
+  for (auto _ : state) {
+    auto seg = Segment::FromBytes(
+        Segment::Encode(fixture.schema, 0, 0, 1, fixture.heads[0]).value());
+    MLFS_CHECK_OK(seg.status());
+    benchmark::DoNotOptimize(seg);
+  }
+  state.SetItemsProcessed(state.iterations() * kHeadRows);
+}
+BENCHMARK(BM_SealHead)->Unit(benchmark::kMillisecond);
+
+void BM_CompactPartition(benchmark::State& state) {
+  auto& fixture = Writes();
+  for (auto _ : state) {
+    auto seg =
+        Segment::FromBytes(Segment::Merge(fixture.segments).value());
+    MLFS_CHECK_OK(seg.status());
+    benchmark::DoNotOptimize(seg);
+  }
+  state.SetItemsProcessed(state.iterations() * kHeadRows * kCompactSegments);
+}
+BENCHMARK(BM_CompactPartition)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mlfs

@@ -432,7 +432,7 @@ FreshnessReport FeatureStore::CheckFreshness(
 
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x4d4c434b;  // "MLCK"
-constexpr uint32_t kCheckpointVersion = 1;
+constexpr uint32_t kCheckpointVersion = 2;  // v2: Checksum64 trailer.
 constexpr char kCheckpointFile[] = "/checkpoint.mlfs";
 }  // namespace
 

@@ -343,7 +343,7 @@ namespace {
 // Each table carries a mode byte: resident (exact floats) or tiered
 // (packed codes + exact hot blocks).
 constexpr uint32_t kEmbeddingSnapshotMagic = 0x4d4c4532;  // "MLE2"
-constexpr uint32_t kEmbeddingSnapshotVersion = 1;
+constexpr uint32_t kEmbeddingSnapshotVersion = 2;  // v2: Checksum64 trailer.
 constexpr uint8_t kSnapshotModeResident = 0;
 constexpr uint8_t kSnapshotModeTiered = 1;
 

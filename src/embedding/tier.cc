@@ -13,7 +13,7 @@ namespace mlfs {
 namespace {
 
 constexpr uint32_t kTierMagic = 0x4d4c4554;  // "MLET"
-constexpr uint32_t kTierVersion = 1;
+constexpr uint32_t kTierVersion = 2;  // v2: Checksum64 trailer.
 constexpr size_t kTierBodyFixedBytes = 28;  // bits + n + dim + block_rows.
 
 inline void AppendU32(std::string* out, uint32_t v) {

@@ -45,13 +45,20 @@ size_t PageSize() {
 
 std::string BlockFile::Seal(uint32_t magic, uint32_t version,
                             std::string_view body) {
+  return Seal(magic, version, std::span<const std::string_view>(&body, 1));
+}
+
+std::string BlockFile::Seal(uint32_t magic, uint32_t version,
+                            std::span<const std::string_view> body_pieces) {
+  size_t body_len = 0;
+  for (std::string_view piece : body_pieces) body_len += piece.size();
   std::string blob;
-  blob.reserve(kPreludeBytes + body.size() + kTrailerBytes);
+  blob.reserve(kPreludeBytes + body_len + kTrailerBytes);
   AppendU32(&blob, magic);
   AppendU32(&blob, version);
-  AppendU64(&blob, body.size());
-  blob.append(body);
-  AppendU64(&blob, Fnv1a64(body.data(), body.size()));
+  AppendU64(&blob, body_len);
+  for (std::string_view piece : body_pieces) blob.append(piece);
+  AppendU64(&blob, Checksum64(blob.data() + kPreludeBytes, body_len));
   return blob;
 }
 
@@ -78,7 +85,7 @@ StatusOr<std::string_view> BlockFile::Unseal(uint32_t magic, uint32_t version,
                               std::to_string(have) + ")");
   }
   const std::string_view body = blob.substr(kPreludeBytes, body_len);
-  if (Fnv1a64(body.data(), body.size()) !=
+  if (Checksum64(body.data(), body.size()) !=
       LoadU64(blob.data() + kPreludeBytes + body_len)) {
     return Status::Corruption(w + ": body checksum mismatch");
   }

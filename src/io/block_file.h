@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -15,7 +16,7 @@ using BlockFilePtr = std::shared_ptr<const BlockFile>;
 
 /// The one envelope for every byte the store persists:
 ///
-///   [u32 magic][u32 version][u64 body_len][body][u64 fnv1a64(body)]
+///   [u32 magic][u32 version][u64 body_len][body][u64 Checksum64(body)]
 ///
 /// Segments ("MLSG"), embedding tier files ("MLET"), the six component
 /// snapshots and the FeatureStore checkpoint file all differ only in the
@@ -26,8 +27,12 @@ using BlockFilePtr = std::shared_ptr<const BlockFile>;
 /// Every envelope invariant — minimum length, magic, version, body length
 /// arithmetic, body checksum — is validated before a body byte is handed
 /// out, so a truncated or bit-flipped blob surfaces as Status::Corruption
-/// and never as UB in a body parser. Body-internal structure remains the
-/// caller's job: a valid checksum does not make crafted input well-formed.
+/// and never as UB in a body parser. The version is checked before the
+/// checksum, so a blob of an older format reads as "unsupported version".
+/// The body checksum (common/hash.h Checksum64) covers every body byte
+/// once, so formats carry no checksums of their own. Body-internal
+/// structure remains the caller's job: a valid checksum does not make
+/// crafted input well-formed.
 ///
 /// Spill discipline: Spill() writes the blob with WriteFileAtomic
 /// (temp + rename, no fsync) and re-opens it through Map, so a crash
@@ -43,13 +48,19 @@ class BlockFile {
  public:
   /// magic + version + body_len.
   static constexpr size_t kPreludeBytes = 16;
-  /// fnv1a64(body).
+  /// Checksum64(body).
   static constexpr size_t kTrailerBytes = 8;
 
   /// Wraps `body` in the envelope. The result round-trips through
   /// Unseal/FromBytes/Map with the same magic/version.
   static std::string Seal(uint32_t magic, uint32_t version,
                           std::string_view body);
+
+  /// Seal over a body given as consecutive pieces, written straight into
+  /// the blob: a format that builds its body in sections (a segment's
+  /// header and column buffers) copies each byte once.
+  static std::string Seal(uint32_t magic, uint32_t version,
+                          std::span<const std::string_view> body_pieces);
 
   /// Checks `blob`'s envelope in place and returns a view of its body
   /// (valid as long as `blob` is). `what` names the format in error

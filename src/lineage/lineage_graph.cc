@@ -345,7 +345,7 @@ Status LineageGraph::RecordMaterialization(const ArtifactId& view,
 namespace {
 
 constexpr uint32_t kLineageSnapshotMagic = 0x4d4c4c47;  // "MLLG"
-constexpr uint32_t kLineageSnapshotVersion = 1;
+constexpr uint32_t kLineageSnapshotVersion = 2;  // v2: Checksum64 trailer.
 
 void PutArtifact(Encoder* enc, const ArtifactId& id) {
   enc->PutU8(static_cast<uint8_t>(id.kind));

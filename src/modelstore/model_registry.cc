@@ -184,7 +184,7 @@ size_t ModelRegistry::num_models() const {
 
 namespace {
 constexpr uint32_t kModelSnapshotMagic = 0x4d4c4d44;  // "MLMD"
-constexpr uint32_t kModelSnapshotVersion = 1;
+constexpr uint32_t kModelSnapshotVersion = 2;  // v2: Checksum64 trailer.
 }  // namespace
 
 std::string ModelRegistry::Snapshot() const {

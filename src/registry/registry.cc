@@ -179,7 +179,7 @@ size_t FeatureRegistry::num_features() const {
 
 namespace {
 constexpr uint32_t kRegistrySnapshotMagic = 0x4d4c4647;  // "MLFG"
-constexpr uint32_t kRegistrySnapshotVersion = 1;
+constexpr uint32_t kRegistrySnapshotVersion = 2;  // v2: Checksum64 trailer.
 }  // namespace
 
 std::string FeatureRegistry::Snapshot() const {

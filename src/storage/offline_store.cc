@@ -142,15 +142,7 @@ Status OfflineTable::AppendLocked(const Row& row) {
   Partition& part = partitions_[pid];
   const size_t ordinal = part.head_base + part.head_rows.size();
   part.head_rows.push_back(row);
-  // Insert into the key's merged stream in ts order. upper_bound places
-  // equal timestamps after existing ones, so as-of reads pick the most
-  // recently appended row; partitions cover disjoint time ranges, so ts
-  // order alone keeps the stream consistent with a partition-ordered walk.
-  std::vector<GlobalPosting>& merged = key_directory_[key];
-  auto gpos = std::upper_bound(
-      merged.begin(), merged.end(), ts,
-      [](Timestamp t, const GlobalPosting& g) { return t < g.ts; });
-  merged.insert(gpos, GlobalPosting{ts, ordinal, &part});
+  AddPostingLocked(key, ts, ordinal, &part);
   ++num_rows_;
   max_event_time_ = std::max(max_event_time_, ts);
   // Auto-seal a full head under the same exclusive lock. No failpoint
@@ -162,19 +154,59 @@ Status OfflineTable::AppendLocked(const Row& row) {
   return Status::OK();
 }
 
+void OfflineTable::AddPostingLocked(std::string_view key, Timestamp ts,
+                                    size_t ordinal, const Partition* part) {
+  auto it = key_directory_.find(key);
+  if (it == key_directory_.end()) {
+    it = key_directory_.try_emplace(std::string(key)).first;
+  }
+  std::vector<GlobalPosting>& list = it->second;
+  // Equal timestamps go after existing ones, so as-of reads pick the most
+  // recently appended row; partitions cover disjoint time ranges, so ts
+  // order alone keeps the stream consistent with a partition-ordered walk.
+  // An in-order posting (the common case) simply appends; the first one
+  // below the last posting opens the list's unsorted tail (try_emplace
+  // keeps that first start).
+  if (!list.empty() && ts < list.back().ts) {
+    unsorted_tails_.try_emplace(&list, list.size());
+  }
+  list.push_back(GlobalPosting{ts, ordinal, part});
+}
+
+void OfflineTable::SortPostingTailsLocked() {
+  const auto by_ts = [](const GlobalPosting& a, const GlobalPosting& b) {
+    return a.ts < b.ts;
+  };
+  for (const auto& [list, tail] : unsorted_tails_) {
+    const auto mid = list->begin() + static_cast<std::ptrdiff_t>(tail);
+    // Both steps are stable: the tail keeps append order among equal
+    // timestamps, and inplace_merge puts the prefix's equal timestamps
+    // (appended earlier) first.
+    std::stable_sort(mid, list->end(), by_ts);
+    std::inplace_merge(list->begin(), mid, list->end(), by_ts);
+  }
+  unsorted_tails_.clear();
+}
+
 Status OfflineTable::Append(const Row& row) {
   MLFS_FAILPOINT("offline_store.append");
   std::unique_lock lock(mu_);
-  return AppendLocked(row);
+  const Status s = AppendLocked(row);
+  SortPostingTailsLocked();
+  return s;
 }
 
 Status OfflineTable::AppendBatch(const std::vector<Row>& rows) {
   MLFS_FAILPOINT("offline_store.append");
   std::unique_lock lock(mu_);
+  Status s;
   for (const Row& row : rows) {
-    MLFS_RETURN_IF_ERROR(AppendLocked(row));
+    s = AppendLocked(row);
+    if (!s.ok()) break;
   }
-  return Status::OK();
+  // Rows appended before a failing one stay appended and indexed.
+  SortPostingTailsLocked();
+  return s;
 }
 
 Status OfflineTable::ValidateCompiled(const CompiledExpr& expr,
@@ -685,26 +717,12 @@ Status OfflineTable::CompactPartition(int64_t pid) {
     captured = it->second.segments;
   }
   if (captured.size() < 2) return Status::OK();
-  // Merge off-lock: adjacent segments cover adjacent ordinal ranges, so
-  // concatenating them in order is ordinal order — the merged segment
-  // covers the contiguous range starting at the first segment's base and
-  // the append-order tie-break is untouched.
-  std::vector<Row> rows;
-  size_t total = 0;
-  for (const SegmentPtr& seg : captured) total += seg->num_rows();
-  rows.reserve(total);
-  std::vector<Value> values;
-  for (const SegmentPtr& seg : captured) {
-    for (size_t r = 0; r < seg->num_rows(); ++r) {
-      values.clear();
-      seg->AppendProjected(r, all_columns_, &values);
-      rows.push_back(Row::CreateUnsafe(options_.schema, values));
-    }
-  }
-  MLFS_ASSIGN_OR_RETURN(
-      std::string blob,
-      Segment::Encode(options_.schema, pid, entity_idx_, time_idx_,
-                      std::span<const Row>(rows)));
+  // Merge off-lock, column by column (no row is decoded): adjacent
+  // segments cover adjacent ordinal ranges, so concatenating them in order
+  // is ordinal order — the merged segment covers the contiguous range
+  // starting at the first segment's base and the append-order tie-break is
+  // untouched.
+  MLFS_ASSIGN_OR_RETURN(std::string blob, Segment::Merge(captured));
   MLFS_ASSIGN_OR_RETURN(SegmentPtr merged, Segment::FromBytes(std::move(blob)));
   // Swap under the exclusive lock, after verifying the captured segments
   // still lead the partition (they must — see above — but a pointer check
@@ -870,10 +888,10 @@ void OfflineTable::StopMaintenance() {
 // --- Snapshots -----------------------------------------------------------
 
 namespace {
-// Sealed segments travel verbatim (checksums and all); only the mutable
+// Sealed segments travel verbatim (envelope and all); only the mutable
 // heads travel as a row stream.
 constexpr uint32_t kTableSnapshotMagic = 0x4d4c4654;  // "MLFT"
-constexpr uint32_t kTableSnapshotVersion = 1;
+constexpr uint32_t kTableSnapshotVersion = 2;  // v2: Checksum64 trailer.
 }  // namespace
 
 std::string OfflineTable::Snapshot() const {
@@ -930,18 +948,13 @@ Status OfflineTable::AdoptSegmentLocked(const SegmentPtr& seg) {
   part.segment_base.push_back(base);
   part.head_base += seg->num_rows();
   // Add the rows to the key directory. Rows are visited in ordinal order
-  // and segments are adopted in ordinal order, so upper_bound reproduces
-  // the original append-order tie-break for equal timestamps.
+  // and segments are adopted in ordinal order, so the stable tail merge
+  // reproduces the original append-order tie-break for equal timestamps.
   for (size_t r = 0; r < seg->num_rows(); ++r) {
     MLFS_ASSIGN_OR_RETURN(std::string key,
                           EntityKeyToString(seg->value(entity_idx_, r)));
     const Timestamp ts = seg->ts(r);
-    const size_t ordinal = base + r;
-    std::vector<GlobalPosting>& merged = key_directory_[key];
-    auto gpos = std::upper_bound(
-        merged.begin(), merged.end(), ts,
-        [](Timestamp t, const GlobalPosting& g) { return t < g.ts; });
-    merged.insert(gpos, GlobalPosting{ts, ordinal, &part});
+    AddPostingLocked(key, ts, base + r, &part);
     ++num_rows_;
     max_event_time_ = std::max(max_event_time_, ts);
   }
@@ -979,6 +992,8 @@ StatusOr<std::unique_ptr<OfflineTable>> OfflineTable::FromSnapshot(
     MLFS_ASSIGN_OR_RETURN(Row row, dec.GetRow(table->options_.schema));
     MLFS_RETURN_IF_ERROR(table->AppendLocked(row));
   }
+  // A failed restore drops the table, so only the whole one needs sorting.
+  table->SortPostingTailsLocked();
   return table;
 }
 

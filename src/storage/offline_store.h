@@ -328,6 +328,17 @@ class OfflineTable {
   explicit OfflineTable(OfflineTableOptions options);
 
   Status AppendLocked(const Row& row);
+  /// Appends one row's posting to its entity's list. A posting below the
+  /// list's last one opens (or extends) an unsorted tail, recorded in
+  /// unsorted_tails_. Caller holds the exclusive lock and calls
+  /// SortPostingTailsLocked before releasing it.
+  void AddPostingLocked(std::string_view key, Timestamp ts, size_t ordinal,
+                        const Partition* part);
+  /// Sorts every unsorted tail by ts (stably, keeping append order) and
+  /// merges it into its list's sorted prefix — the order one upper_bound
+  /// insert per row would have built, at O(k log k) per list instead of
+  /// O(k) per row.
+  void SortPostingTailsLocked();
   /// Seals `part`'s head into a segment (caller holds the exclusive lock).
   Status SealPartitionLocked(int64_t pid, Partition& part);
   /// Adopts a restored segment as the next ordinal range of its partition
@@ -371,6 +382,11 @@ class OfflineTable {
   // pointer chasing.
   std::unordered_map<std::string, std::vector<GlobalPosting>, KeyHash, KeyEq>
       key_directory_;
+  // Posting lists holding an unsorted tail (node-stable pointers into
+  // key_directory_) -> where the tail starts. Kept beside the directory
+  // rather than in it, so no list pays for the mark; empty whenever the
+  // exclusive lock is free, so readers only ever see sorted lists.
+  std::unordered_map<std::vector<GlobalPosting>*, size_t> unsorted_tails_;
   size_t num_rows_ = 0;
   Timestamp max_event_time_ = kMinTimestamp;
 

@@ -308,7 +308,7 @@ std::vector<StatusOr<Row>> OnlineStore::MultiGet(
     if (is_dup) continue;
     p.hash = h;
     p.index = static_cast<uint32_t>(i);
-    p.shard = static_cast<uint32_t>(h % shards_.size());
+    p.shard = static_cast<uint32_t>(OnlineShardIndex(h, shards_.size()));
     p.cells = &shards_[p.shard]->cells;
     probes.push_back(p);
     ++shard_counts[p.shard];
@@ -521,7 +521,7 @@ OnlineStoreStats OnlineStore::stats() const {
 
 namespace {
 constexpr uint32_t kOnlineSnapshotMagic = 0x4d4c4f4e;  // "MLON"
-constexpr uint32_t kOnlineSnapshotVersion = 1;
+constexpr uint32_t kOnlineSnapshotVersion = 2;  // v2: Checksum64 trailer.
 }  // namespace
 
 std::string OnlineStore::Snapshot() const {

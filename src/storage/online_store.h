@@ -40,6 +40,16 @@ struct OnlineStoreOptions {
   Timestamp default_ttl = 0;
 };
 
+/// The shard of a cell-key hash among `num_shards`, from the hash's high 32
+/// bits (multiply-shift). CellMap starts probing at the hash's low bits; a
+/// shard picked from those too (hash % 16) would leave every key of a
+/// shard sharing its low 4 bits, so keys could start at only 1/16 of the
+/// slots. Every shard lookup (Put, Get, MultiGet, Restore) goes through
+/// this.
+inline size_t OnlineShardIndex(uint64_t hash, size_t num_shards) {
+  return static_cast<size_t>(((hash >> 32) * num_shards) >> 32);
+}
+
 /// Low-latency, in-memory, latest-value store: the "online" half of the
 /// dual datastore (paper §2.2.2, e.g. an in-memory DBMS). Keyed by
 /// (view, entity); each cell holds the most recent feature row for that
@@ -118,7 +128,7 @@ class OnlineStore {
   };
 
   Shard& ShardFor(uint64_t full_key_hash) const {
-    return *shards_[full_key_hash % shards_.size()];
+    return *shards_[OnlineShardIndex(full_key_hash, shards_.size())];
   }
   static std::string FullKey(const std::string& view, const std::string& key);
 

@@ -1,7 +1,7 @@
 #include "storage/segment.h"
 
+#include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -12,7 +12,9 @@ namespace mlfs {
 namespace {
 
 constexpr uint32_t kSegmentMagic = 0x47534c4d;  // "MLSG"
-constexpr uint32_t kSegmentVersion = 1;
+// v2: no per-column checksums (the envelope's body checksum covers every
+// column byte) and a Checksum64 envelope trailer.
+constexpr uint32_t kSegmentVersion = 2;
 
 // Raw little-endian-host loads/stores. The column buffers use memcpy'd host
 // integers (like FastHash64) rather than the serde byte-by-byte codec: the
@@ -31,13 +33,9 @@ uint32_t LoadU32(const unsigned char* p) {
   return v;
 }
 
-void AppendU64(std::string* buf, uint64_t v) {
-  buf->append(reinterpret_cast<const char*>(&v), 8);
-}
+void StoreU64(char* p, uint64_t v) { std::memcpy(p, &v, 8); }
 
-void AppendU32(std::string* buf, uint32_t v) {
-  buf->append(reinterpret_cast<const char*>(&v), 4);
-}
+void StoreU32(char* p, uint32_t v) { std::memcpy(p, &v, 4); }
 
 void AppendVarint(std::string* buf, uint64_t v) {
   while (v >= 0x80) {
@@ -93,6 +91,126 @@ ColumnEncoding EncodingFor(FeatureType type) {
   return ColumnEncoding::kNullOnly;
 }
 
+/// Open-addressing string interner behind every dictionary column: codes
+/// in first-appearance order. It is sized once from an upper bound on the
+/// distinct count (load <= 1/2), so it never rehashes, and it holds two
+/// flat arrays, not a heap node per distinct string (entity keys are
+/// nearly all distinct, so that would be an allocation per row). Interned
+/// bytes are borrowed and must outlive the interner.
+class DictInterner {
+ public:
+  explicit DictInterner(size_t max_distinct) {
+    size_t capacity = 16;
+    while (capacity < 2 * max_distinct) capacity <<= 1;
+    slots_.assign(capacity, Slot{0, kEmptySlot});
+    mask_ = capacity - 1;
+  }
+
+  uint32_t Intern(std::string_view s) {
+    const uint64_t h = FastHash64(s.data(), s.size());
+    const uint32_t tag = static_cast<uint32_t>(h >> 32);
+    for (size_t i = h & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.code == kEmptySlot) {
+        slot = Slot{tag, static_cast<uint32_t>(dict_.size())};
+        dict_.push_back(s);
+        return slot.code;
+      }
+      if (slot.tag == tag && dict_[slot.code] == s) return slot.code;
+    }
+  }
+
+  /// The distinct strings, indexed by code.
+  const std::vector<std::string_view>& dict() const { return dict_; }
+
+ private:
+  struct Slot {
+    uint32_t tag;   // High hash bits, so most mismatches skip the compare.
+    uint32_t code;  // kEmptySlot while free.
+  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  std::vector<std::string_view> dict_;
+};
+
+/// Starts a column buffer: the has-nulls byte, then (when `has_nulls`) a
+/// zeroed bitmap of `rows` bits. Returns the bitmap's offset in `buf`.
+size_t BeginColumn(bool has_nulls, size_t rows, std::string* buf) {
+  buf->push_back(has_nulls ? 1 : 0);
+  const size_t bitmap_at = buf->size();
+  if (has_nulls) buf->append((rows + 7) / 8, '\0');
+  return bitmap_at;
+}
+
+/// Appends a dictionary column's data section:
+///   [u32 count][u32 code per row][u32 offsets, count + 1][string bytes]
+/// The one writer behind Encode and Merge.
+Status AppendDictionary(const std::vector<std::string_view>& dict,
+                        std::span<const uint32_t> codes, std::string* buf) {
+  uint64_t blob_len = 0;
+  for (std::string_view s : dict) blob_len += s.size();
+  if (blob_len > UINT32_MAX) {
+    return Status::InvalidArgument("dictionary blob exceeds 4 GiB");
+  }
+  const size_t at = buf->size();
+  buf->resize(at + 4 + 4 * codes.size() + 4 * (dict.size() + 1) + blob_len);
+  char* p = buf->data() + at;
+  StoreU32(p, static_cast<uint32_t>(dict.size()));
+  p += 4;
+  std::memcpy(p, codes.data(), 4 * codes.size());
+  p += 4 * codes.size();
+  uint32_t offset = 0;
+  StoreU32(p, offset);
+  p += 4;
+  for (std::string_view s : dict) {
+    offset += static_cast<uint32_t>(s.size());
+    StoreU32(p, offset);
+    p += 4;
+  }
+  for (std::string_view s : dict) {
+    std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+  return Status::OK();
+}
+
+/// What a segment body's header records besides its schema and columns.
+struct HeaderFields {
+  int64_t partition_id;
+  int entity_idx;
+  int time_idx;
+  size_t num_rows;
+  Timestamp min_ts;
+  Timestamp max_ts;
+};
+
+/// Writes the body header — partition id, entity/time column indices,
+/// schema, row count, min/max event time, then {encoding, byte length} per
+/// column — and seals it with the column buffers into the envelope, each
+/// byte copied once. The one writer behind Encode and Merge.
+std::string SealSegment(const Schema& schema, const HeaderFields& h,
+                        const std::vector<std::string>& col_bufs) {
+  Encoder header;
+  header.PutFixed64(static_cast<uint64_t>(h.partition_id));
+  header.PutVarint64(static_cast<uint64_t>(h.entity_idx));
+  header.PutVarint64(static_cast<uint64_t>(h.time_idx));
+  header.PutSchema(schema);
+  header.PutVarint64(h.num_rows);
+  header.PutFixed64(static_cast<uint64_t>(h.min_ts));
+  header.PutFixed64(static_cast<uint64_t>(h.max_ts));
+  header.PutVarint64(col_bufs.size());
+  for (size_t c = 0; c < col_bufs.size(); ++c) {
+    header.PutU8(static_cast<uint8_t>(EncodingFor(schema.field(c).type)));
+    header.PutVarint64(col_bufs[c].size());
+  }
+  std::vector<std::string_view> pieces;
+  pieces.reserve(1 + col_bufs.size());
+  pieces.push_back(header.buffer());
+  for (const std::string& buf : col_bufs) pieces.push_back(buf);
+  return BlockFile::Seal(kSegmentMagic, kSegmentVersion, pieces);
+}
+
 }  // namespace
 
 StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
@@ -131,9 +249,9 @@ StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
   }
 
   std::vector<std::string> col_bufs(ncols);
+  std::vector<uint32_t> codes;
   for (size_t c = 0; c < ncols; ++c) {
     const FeatureType type = schema->field(c).type;
-    const ColumnEncoding enc = EncodingFor(type);
     std::string& buf = col_bufs[c];
     bool has_nulls = false;
     for (const Row& row : rows) {
@@ -142,17 +260,15 @@ StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
         break;
       }
     }
-    buf.push_back(has_nulls ? 1 : 0);
+    const size_t bitmap_at = BeginColumn(has_nulls, n, &buf);
     if (has_nulls) {
-      std::string bitmap((n + 7) / 8, '\0');
       for (size_t r = 0; r < n; ++r) {
         if (rows[r].value(c).is_null()) {
-          bitmap[r >> 3] |= static_cast<char>(1u << (r & 7));
+          buf[bitmap_at + (r >> 3)] |= static_cast<char>(1u << (r & 7));
         }
       }
-      buf.append(bitmap);
     }
-    switch (enc) {
+    switch (EncodingFor(type)) {
       case ColumnEncoding::kNullOnly:
         for (size_t r = 0; r < n; ++r) {
           if (!rows[r].value(c).is_null()) {
@@ -161,7 +277,9 @@ StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
           }
         }
         break;
-      case ColumnEncoding::kRaw64:
+      case ColumnEncoding::kRaw64: {
+        const size_t at = buf.size();
+        buf.resize(at + 8 * n);
         for (size_t r = 0; r < n; ++r) {
           const Value& v = rows[r].value(c);
           uint64_t bits = 0;
@@ -173,15 +291,19 @@ StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
               std::memcpy(&bits, &d, 8);
             }
           }
-          AppendU64(&buf, bits);
+          StoreU64(buf.data() + at + 8 * r, bits);
         }
         break;
-      case ColumnEncoding::kBool:
+      }
+      case ColumnEncoding::kBool: {
+        const size_t at = buf.size();
+        buf.resize(at + n);
         for (size_t r = 0; r < n; ++r) {
           const Value& v = rows[r].value(c);
-          buf.push_back(!v.is_null() && v.bool_value() ? 1 : 0);
+          buf[at + r] = !v.is_null() && v.bool_value() ? 1 : 0;
         }
         break;
+      }
       case ColumnEncoding::kDeltaTimestamp: {
         // Null cells repeat the previous value (delta 0); the bitmap is
         // what makes them NULL on read.
@@ -196,40 +318,25 @@ StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
       }
       case ColumnEncoding::kDictionary: {
         // Dictionary in first-appearance order; null cells take code 0.
-        std::unordered_map<std::string_view, uint32_t> dict;
-        std::vector<std::string_view> dict_order;
-        std::vector<uint32_t> codes(n, 0);
+        DictInterner dict(n);
+        codes.assign(n, 0);
         for (size_t r = 0; r < n; ++r) {
           const Value& v = rows[r].value(c);
-          if (v.is_null()) continue;
-          std::string_view s = v.string_value();
-          auto [it, inserted] =
-              dict.emplace(s, static_cast<uint32_t>(dict_order.size()));
-          if (inserted) dict_order.push_back(s);
-          codes[r] = it->second;
+          if (!v.is_null()) codes[r] = dict.Intern(v.string_value());
         }
-        AppendU32(&buf, static_cast<uint32_t>(dict_order.size()));
-        for (uint32_t code : codes) AppendU32(&buf, code);
-        uint32_t offset = 0;
-        AppendU32(&buf, 0);
-        for (std::string_view s : dict_order) {
-          if (s.size() > UINT32_MAX - offset) {
-            return Status::InvalidArgument("dictionary blob exceeds 4 GiB");
-          }
-          offset += static_cast<uint32_t>(s.size());
-          AppendU32(&buf, offset);
-        }
-        for (std::string_view s : dict_order) buf.append(s);
+        MLFS_RETURN_IF_ERROR(AppendDictionary(dict.dict(), codes, &buf));
         break;
       }
       case ColumnEncoding::kFloatList: {
+        const size_t fences_at = buf.size();
+        buf.resize(fences_at + 8 * (n + 1));  // Zeroed: fence 0 is 0.
         uint64_t fence = 0;
-        AppendU64(&buf, 0);
         for (size_t r = 0; r < n; ++r) {
           const Value& v = rows[r].value(c);
           if (!v.is_null()) fence += v.embedding_value().size();
-          AppendU64(&buf, fence);
+          StoreU64(buf.data() + fences_at + 8 * (r + 1), fence);
         }
+        buf.reserve(buf.size() + 4 * fence);
         for (size_t r = 0; r < n; ++r) {
           const Value& v = rows[r].value(c);
           if (v.is_null()) continue;
@@ -241,28 +348,190 @@ StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
       }
     }
   }
+  return SealSegment(*schema,
+                     {partition_id, entity_idx, time_idx, n, min_ts, max_ts},
+                     col_bufs);
+}
 
-  Encoder header;
-  header.PutFixed64(static_cast<uint64_t>(partition_id));
-  header.PutVarint64(static_cast<uint64_t>(entity_idx));
-  header.PutVarint64(static_cast<uint64_t>(time_idx));
-  header.PutSchema(*schema);
-  header.PutVarint64(n);
-  header.PutFixed64(static_cast<uint64_t>(min_ts));
-  header.PutFixed64(static_cast<uint64_t>(max_ts));
-  header.PutVarint64(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    header.PutU8(static_cast<uint8_t>(EncodingFor(schema->field(c).type)));
-    header.PutFixed64(HashBytes(col_bufs[c]));
-    header.PutVarint64(col_bufs[c].size());
+bool Segment::AnyNull(size_t col) const {
+  const unsigned char* nulls = cols_[col].nulls;
+  if (nulls == nullptr) return false;
+  const size_t full = num_rows_ / 8;
+  for (size_t i = 0; i < full; ++i) {
+    if (nulls[i] != 0) return true;
+  }
+  const size_t rem = num_rows_ % 8;
+  return rem != 0 && (nulls[full] & ((1u << rem) - 1)) != 0;
+}
+
+StatusOr<std::string> Segment::Merge(std::span<const SegmentPtr> segments) {
+  if (segments.empty()) {
+    return Status::InvalidArgument("cannot merge zero segments");
+  }
+  const Segment& first = *segments.front();
+  size_t n = 0;
+  Timestamp min_ts = kMaxTimestamp;
+  Timestamp max_ts = kMinTimestamp;
+  for (const SegmentPtr& seg : segments) {
+    if (!(*seg->schema_ == *first.schema_) ||
+        seg->partition_id_ != first.partition_id_ ||
+        seg->entity_idx_ != first.entity_idx_ ||
+        seg->time_idx_ != first.time_idx_) {
+      return Status::InvalidArgument(
+          "merged segments differ in schema, partition or key columns");
+    }
+    n += seg->num_rows_;
+    min_ts = std::min(min_ts, seg->min_ts_);
+    max_ts = std::max(max_ts, seg->max_ts_);
   }
 
-  std::string body = header.Release();
-  for (const std::string& buf : col_bufs) body.append(buf);
-  // HashBytes(body) with the default seed is Fnv1a64(body) — exactly the
-  // envelope trailer Seal writes, so the blob bytes are unchanged from the
-  // pre-BlockFile format.
-  return BlockFile::Seal(kSegmentMagic, kSegmentVersion, body);
+  // Every section is rebuilt exactly as Encode would write it for the
+  // segments' decoded rows, including for non-canonical (crafted but
+  // checksum-valid) inputs: bits past a bitmap's rows are dropped, and
+  // bytes under NULL cells are written as Encode writes a NULL.
+  const size_t ncols = first.cols_.size();
+  std::vector<std::string> col_bufs(ncols);
+  std::vector<uint32_t> codes;
+  std::vector<uint32_t> remap;
+  for (size_t c = 0; c < ncols; ++c) {
+    std::string& buf = col_bufs[c];
+    bool has_nulls = false;
+    for (const SegmentPtr& seg : segments) has_nulls |= seg->AnyNull(c);
+    const size_t bitmap_at = BeginColumn(has_nulls, n, &buf);
+    if (has_nulls) {
+      // Concatenate the bitmaps: segment rows start at any bit offset.
+      size_t base = 0;
+      for (const SegmentPtr& seg : segments) {
+        const unsigned char* src = seg->cols_[c].nulls;
+        const size_t rows = seg->num_rows_;
+        for (size_t i = 0; src != nullptr && i < (rows + 7) / 8; ++i) {
+          unsigned byte = src[i];
+          if (8 * i + 8 > rows) byte &= (1u << (rows % 8)) - 1;
+          const size_t bit = base + 8 * i;
+          char* dst = buf.data() + bitmap_at + (bit >> 3);
+          dst[0] |= static_cast<char>(byte << (bit & 7));
+          if ((bit & 7) != 0 && (byte >> (8 - (bit & 7))) != 0) {
+            dst[1] |= static_cast<char>(byte >> (8 - (bit & 7)));
+          }
+        }
+        base += rows;
+      }
+    }
+    switch (first.cols_[c].enc) {
+      case ColumnEncoding::kNullOnly:
+        break;
+      case ColumnEncoding::kRaw64:
+      case ColumnEncoding::kBool: {
+        // Copied as they are; only a NULL cell's bytes are re-zeroed.
+        const size_t width =
+            first.cols_[c].enc == ColumnEncoding::kRaw64 ? 8 : 1;
+        for (const SegmentPtr& seg : segments) {
+          const Column& col = seg->cols_[c];
+          const size_t at = buf.size();
+          buf.append(reinterpret_cast<const char*>(col.data),
+                     width * seg->num_rows_);
+          if (col.nulls == nullptr) continue;
+          for (size_t r = 0; r < seg->num_rows_; ++r) {
+            if (seg->NullBit(col, r)) {
+              std::memset(buf.data() + at + width * r, 0, width);
+            }
+          }
+        }
+        break;
+      }
+      case ColumnEncoding::kDeltaTimestamp: {
+        // Re-delta-encoded from the decoded time index across segment
+        // boundaries; a NULL cell repeats the previous value, as in Encode.
+        Timestamp prev = 0;
+        for (const SegmentPtr& seg : segments) {
+          const Column& col = seg->cols_[c];
+          const std::vector<Timestamp>& ts = seg->delta_cols_[c];
+          for (size_t r = 0; r < seg->num_rows_; ++r) {
+            const Timestamp t = seg->NullBit(col, r) ? prev : ts[r];
+            AppendVarint(&buf, ZigzagEncode(t - prev));
+            prev = t;
+          }
+        }
+        break;
+      }
+      case ColumnEncoding::kDictionary: {
+        // Each segment's codes remap through one merged dictionary, kept in
+        // first-appearance order by walking the rows: a code is interned
+        // the first time a row uses it, then remapped by table lookup.
+        constexpr uint32_t kUnmapped = UINT32_MAX;
+        size_t max_distinct = 0;
+        for (const SegmentPtr& seg : segments) {
+          max_distinct += seg->cols_[c].dict_count;
+        }
+        DictInterner dict(max_distinct);
+        codes.assign(n, 0);
+        size_t base = 0;
+        for (const SegmentPtr& seg : segments) {
+          const Column& col = seg->cols_[c];
+          remap.assign(col.dict_count, kUnmapped);
+          for (size_t r = 0; r < seg->num_rows_; ++r) {
+            if (seg->NullBit(col, r)) continue;
+            const uint32_t code = LoadU32(col.codes + 4 * r);
+            uint32_t& merged = remap[code];
+            if (merged == kUnmapped) {
+              const uint32_t beg = LoadU32(col.dict_offsets + 4 * code);
+              const uint32_t end = LoadU32(col.dict_offsets + 4 * code + 4);
+              merged = dict.Intern(std::string_view(
+                  reinterpret_cast<const char*>(col.dict_blob) + beg,
+                  end - beg));
+            }
+            codes[base + r] = merged;
+          }
+          base += seg->num_rows_;
+        }
+        MLFS_RETURN_IF_ERROR(AppendDictionary(dict.dict(), codes, &buf));
+        break;
+      }
+      case ColumnEncoding::kFloatList: {
+        // Fences are rebased by the floats before each segment; the float
+        // blobs are concatenated (a NULL cell's span, if any, dropped).
+        const size_t fences_at = buf.size();
+        uint64_t total = 0;
+        for (const SegmentPtr& seg : segments) {
+          total += LoadU64(seg->cols_[c].fences + 8 * seg->num_rows_);
+        }
+        buf.reserve(fences_at + 8 * (n + 1) + 4 * total);
+        buf.resize(fences_at + 8 * (n + 1));  // Zeroed: fence 0 is 0.
+        uint64_t fence = 0;
+        size_t row = 0;
+        for (const SegmentPtr& seg : segments) {
+          const Column& col = seg->cols_[c];
+          const size_t rows = seg->num_rows_;
+          if (col.nulls == nullptr) {
+            for (size_t r = 1; r <= rows; ++r) {
+              StoreU64(buf.data() + fences_at + 8 * (row + r),
+                       fence + LoadU64(col.fences + 8 * r));
+            }
+            const uint64_t floats = LoadU64(col.fences + 8 * rows);
+            buf.append(reinterpret_cast<const char*>(col.floats), 4 * floats);
+            fence += floats;
+          } else {
+            for (size_t r = 0; r < rows; ++r) {
+              if (!seg->NullBit(col, r)) {
+                const uint64_t beg = LoadU64(col.fences + 8 * r);
+                const uint64_t end = LoadU64(col.fences + 8 * r + 8);
+                buf.append(reinterpret_cast<const char*>(col.floats + 4 * beg),
+                           4 * (end - beg));
+                fence += end - beg;
+              }
+              StoreU64(buf.data() + fences_at + 8 * (row + r + 1), fence);
+            }
+          }
+          row += rows;
+        }
+        break;
+      }
+    }
+  }
+  return SealSegment(*first.schema_,
+                     {first.partition_id_, first.entity_idx_,
+                      first.time_idx_, n, min_ts, max_ts},
+                     col_bufs);
 }
 
 Status Segment::Parse() {
@@ -302,7 +571,6 @@ Status Segment::Parse() {
 
   struct ColMeta {
     ColumnEncoding enc;
-    uint64_t hash;
     uint64_t len;
   };
   std::vector<ColMeta> metas;
@@ -313,9 +581,8 @@ Status Segment::Parse() {
     if (enc_byte > static_cast<uint8_t>(ColumnEncoding::kFloatList)) {
       return Status::Corruption("segment: unknown column encoding");
     }
-    MLFS_ASSIGN_OR_RETURN(uint64_t hash, dec.GetFixed64());
     MLFS_ASSIGN_OR_RETURN(uint64_t len, dec.GetVarint64());
-    metas.push_back({static_cast<ColumnEncoding>(enc_byte), hash, len});
+    metas.push_back({static_cast<ColumnEncoding>(enc_byte), len});
     cols_total += len;
   }
   if (dec.remaining() != cols_total) {
@@ -336,11 +603,6 @@ Status Segment::Parse() {
     }
     const unsigned char* buf = cursor;
     cursor += meta.len;
-    if (HashBytes(std::string_view(reinterpret_cast<const char*>(buf),
-                                   meta.len)) != meta.hash) {
-      return Status::Corruption("segment: column " + std::to_string(c) +
-                                " checksum mismatch");
-    }
     Column& col = cols_[c];
     col.enc = meta.enc;
     if (meta.len < 1) {
@@ -473,8 +735,12 @@ Status Segment::Parse() {
     }
   }
 
-  // The time column must be delta-encoded (verified above via EncodingFor)
-  // and its decoded stream must agree with the header's min/max.
+  // The time column must be delta-encoded (verified above via EncodingFor),
+  // have no NULL cell (Encode refuses one), and its decoded stream must
+  // agree with the header's min/max.
+  if (AnyNull(time_idx_)) {
+    return Status::Corruption("segment: time column has a NULL");
+  }
   const std::vector<Timestamp>& ts = delta_cols_[time_idx_];
   Timestamp lo = kMaxTimestamp;
   Timestamp hi = kMinTimestamp;
@@ -572,7 +838,10 @@ Value Segment::value(size_t col, size_t row) const {
       const uint64_t beg = LoadU64(c.fences + 8 * row);
       const uint64_t end = LoadU64(c.fences + 8 * row + 8);
       std::vector<float> floats(end - beg);
-      std::memcpy(floats.data(), c.floats + 4 * beg, 4 * (end - beg));
+      // An empty embedding's data() may be null, which memcpy forbids.
+      if (end > beg) {
+        std::memcpy(floats.data(), c.floats + 4 * beg, 4 * (end - beg));
+      }
       return Value::Embedding(std::move(floats));
     }
   }

@@ -17,6 +17,8 @@
 namespace mlfs {
 
 class ColumnVector;
+class Segment;
+using SegmentPtr = std::shared_ptr<const Segment>;
 
 /// Per-column encoding inside a sealed segment. The encoding is chosen from
 /// the schema field type at seal time; every encoding supports O(1) random
@@ -43,23 +45,25 @@ enum class ColumnEncoding : uint8_t {
 /// An immutable, checksummed, column-major block of rows sealed out of an
 /// OfflineTable partition's mutable head — the unit of the offline store's
 /// tiered storage. A segment's encoded bytes are self-contained (schema,
-/// partition id, column index hints, per-column and whole-body checksums)
-/// and live either resident in RAM or spilled as a memory-mapped file; the
-/// read path is identical in both tiers.
+/// partition id, column index hints, whole-body checksum) and live either
+/// resident in RAM or spilled as a memory-mapped file; the read path is
+/// identical in both tiers.
 ///
-/// Blob layout: the shared BlockFile envelope
-///   [u32 magic][u32 version][u64 body_len][body][u64 body_hash]
+/// Blob layout (version 2): the shared BlockFile envelope
+///   [u32 magic "MLSG"][u32 version][u64 body_len][body][u64 checksum]
 /// Body: header (partition id, entity/time column indices, schema, row
-/// count, min/max event time, per-column {encoding, hash, length}) followed
+/// count, min/max event time, per-column {encoding, byte length}) followed
 /// by the concatenated column buffers. Every column buffer starts with a
-/// has-nulls byte and an optional null bitmap.
+/// has-nulls byte and, when it is set, a null bitmap of one bit per row.
+/// The envelope's body checksum covers every column byte, so columns carry
+/// no checksums of their own.
 ///
 /// FromBytes/FromFile validate *everything* up front — the envelope
-/// (magic, length, body hash) through io/block_file, then per-column
-/// hashes and every structural invariant (offset fences, dictionary code
-/// ranges, varint stream termination) — so cell accessors can run without
-/// per-access bounds checks and a truncated or bit-flipped blob surfaces
-/// as a Status error, never UB.
+/// (magic, version, length, body checksum) through io/block_file, then
+/// every structural invariant (offset fences, dictionary code ranges,
+/// varint stream termination, a NULL-free time column) — so cell accessors
+/// can run without per-access bounds checks and a truncated or bit-flipped
+/// blob surfaces as a Status error, never UB.
 class Segment {
  public:
   /// Encodes `rows` (all conforming to `schema`, all in partition
@@ -69,6 +73,17 @@ class Segment {
   static StatusOr<std::string> Encode(const SchemaPtr& schema,
                                       int64_t partition_id, int entity_idx,
                                       int time_idx, std::span<const Row> rows);
+
+  /// Compaction: merges `segments` (same schema, partition and entity/time
+  /// columns; InvalidArgument otherwise) into one blob, column by column
+  /// and without decoding a row — raw64 and bool bytes are copied, null
+  /// bitmaps concatenated, timestamps re-delta-encoded from the time
+  /// index, dictionary codes remapped through one merged first-appearance
+  /// dictionary, embedding fences rebased. Guarantee: the result is
+  /// byte-identical to Encode over the segments' decoded rows in order
+  /// (so row i of segment k lands at the sum of the earlier segments' rows
+  /// plus i, and the append-order tie-break survives compaction).
+  static StatusOr<std::string> Merge(std::span<const SegmentPtr> segments);
 
   /// Parses and validates a blob held in RAM (the resident tier).
   static StatusOr<std::shared_ptr<const Segment>> FromBytes(std::string bytes);
@@ -169,6 +184,10 @@ class Segment {
     return c.nulls != nullptr && (c.nulls[row >> 3] >> (row & 7)) & 1;
   }
 
+  /// Whether any row of column `col` is NULL (a crafted blob may carry an
+  /// all-zero bitmap).
+  bool AnyNull(size_t col) const;
+
   // Backing storage (resident blob or validated file mapping); data_
   // views the full envelope.
   BlockFilePtr file_;
@@ -185,8 +204,6 @@ class Segment {
   // Decoded values for kDeltaTimestamp columns (empty for other columns).
   std::vector<std::vector<Timestamp>> delta_cols_;
 };
-
-using SegmentPtr = std::shared_ptr<const Segment>;
 
 }  // namespace mlfs
 

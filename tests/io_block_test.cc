@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "io/block_cache.h"
 #include "io/block_file.h"
 #include "io/readahead.h"
@@ -36,6 +38,43 @@ class IoBlockTest : public ::testing::Test {
 
   std::string dir_;
 };
+
+// --- Checksum64 (the envelope trailer) -----------------------------------
+
+// Lengths 0-100 cross the 32-byte lane block, the whole-word tail and the
+// zero-padded partial word: at each, every single-byte change (all 255
+// XOR deltas at every position) must change the checksum.
+TEST(ChecksumTest, AnySingleByteChangeChangesChecksum) {
+  std::string bytes(100, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 37 + 11);
+  }
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    std::string data = bytes.substr(0, len);
+    const uint64_t base = Checksum64(data.data(), len);
+    for (size_t pos = 0; pos < len; ++pos) {
+      const char orig = data[pos];
+      for (unsigned delta = 1; delta < 256; ++delta) {
+        data[pos] = static_cast<char>(orig ^ static_cast<char>(delta));
+        ASSERT_NE(Checksum64(data.data(), len), base)
+            << "len " << len << " pos " << pos << " delta " << delta;
+      }
+      data[pos] = orig;
+    }
+  }
+}
+
+// The length is mixed in: zero runs of different lengths, which pad to
+// the same words, still differ.
+TEST(ChecksumTest, LengthIsMixedIn) {
+  const std::string zeros(100, '\0');
+  std::vector<uint64_t> sums;
+  for (size_t len = 0; len <= zeros.size(); ++len) {
+    sums.push_back(Checksum64(zeros.data(), len));
+  }
+  std::sort(sums.begin(), sums.end());
+  EXPECT_EQ(std::adjacent_find(sums.begin(), sums.end()), sums.end());
+}
 
 // --- BlockFile -----------------------------------------------------------
 

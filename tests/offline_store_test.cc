@@ -220,6 +220,90 @@ TEST(OfflineTableTest, AsOfRandomizedAgainstOracle) {
   }
 }
 
+// Shuffled AppendBatch calls put most postings below their entity's last
+// one, so the key directory collects unsorted tails and merges them in
+// before each batch returns. AsOf and AsOfBatch must match an oracle
+// computed from the raw rows alone — the latest event time <= the probe,
+// the later-appended row on equal timestamps — through heads sealed
+// mid-batch, a batch cut short by a bad row, and a snapshot restore.
+TEST(OfflineTableTest, ShuffledAppendBatchesMatchRawRowOracle) {
+  OfflineTableOptions options = TestOptions();
+  options.seal_rows = 37;  // Heads seal mid-batch.
+  auto table = OfflineTable::Create(options).value();
+  const SchemaPtr schema = TestSchema();
+  const SchemaPtr other = Schema::Create({{"x", FeatureType::kInt64, false}})
+                              .value();
+  constexpr int64_t kUsers = 4;
+  constexpr int64_t kHours = 72;  // Coarse times: many duplicates.
+  struct Ev {
+    int64_t user;
+    Timestamp ts;
+    int64_t seq;
+  };
+  std::vector<Ev> events;
+  Rng rng(0x5047);
+  for (int batch = 0; batch < 12; ++batch) {
+    std::vector<Row> rows;
+    const size_t batch_rows = 50 + rng.Uniform(250);
+    const size_t bad_at = batch == 6 ? batch_rows / 2 : batch_rows;
+    for (size_t i = 0; i < batch_rows; ++i) {
+      if (i == bad_at) {
+        rows.push_back(Row::Create(other, {Value::Int64(1)}).value());
+      }
+      const Ev e{static_cast<int64_t>(rng.Uniform(kUsers)),
+                 Hours(static_cast<Timestamp>(rng.Uniform(kHours))),
+                 static_cast<int64_t>(events.size())};
+      // Rows after the bad one are never appended.
+      if (i < bad_at) events.push_back(e);
+      rows.push_back(MakeRow(schema, e.user, e.ts, e.seq, 0.0));
+    }
+    EXPECT_EQ(table->AppendBatch(rows).ok(), bad_at == batch_rows);
+  }
+  ASSERT_EQ(table->num_rows(), events.size());
+  auto oracle = [&](int64_t user, Timestamp ts) -> const Ev* {
+    const Ev* best = nullptr;
+    for (const Ev& e : events) {
+      if (e.user != user || e.ts > ts) continue;
+      if (best == nullptr || e.ts >= best->ts) best = &e;  // Later seq wins.
+    }
+    return best;
+  };
+  auto restored = OfflineTable::FromSnapshot(table->Snapshot());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  for (const OfflineTable* t : {table.get(), restored->get()}) {
+    std::vector<std::string> keys;
+    std::vector<std::pair<int64_t, Timestamp>> probes;
+    for (int64_t user = 0; user <= kUsers; ++user) {  // kUsers: no history.
+      for (int64_t h = -1; h <= kHours; ++h) {
+        probes.emplace_back(user, Hours(h));
+        keys.push_back(EntityKeyToString(Value::Int64(user)).value());
+      }
+    }
+    std::vector<AsOfRequest> requests;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      requests.push_back({keys[i], probes[i].second});
+    }
+    std::vector<Row> results(requests.size());
+    ASSERT_TRUE(t->AsOfBatch(requests, results).ok());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const auto [user, ts] = probes[i];
+      const Ev* want = oracle(user, ts);
+      auto got = t->AsOf(Value::Int64(user), ts);
+      if (want == nullptr) {
+        EXPECT_TRUE(got.status().IsNotFound());
+        EXPECT_EQ(results[i].schema(), nullptr);
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->value(2).int64_value(), want->seq)
+          << "user " << user << " at " << ts;
+      ASSERT_NE(results[i].schema(), nullptr);
+      EXPECT_EQ(results[i].value(2).int64_value(), want->seq)
+          << "user " << user << " at " << ts;
+    }
+  }
+}
+
 TEST(OfflineTableTest, LatestPerEntityAsOf) {
   auto table = OfflineTable::Create(TestOptions()).value();
   auto schema = TestSchema();

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace mlfs {
@@ -426,6 +427,26 @@ TEST_F(OnlineStoreTest, ConcurrentOlderWritesAgainstSeededNewestAllStale) {
   auto s = store_.stats();
   EXPECT_EQ(s.stale_writes,
             static_cast<uint64_t>(kThreads) * kWritesPerThread);
+}
+
+// CellMap starts probing at a hash's low bits, so the shard must come from
+// other bits: the hashes routed to any one shard still cover all 16 values
+// of their low 4 bits (with hash % 16 each shard saw exactly one).
+TEST(OnlineShardIndexTest, ShardBitsAreIndependentOfProbeBits) {
+  constexpr size_t kShards = 16;
+  std::vector<std::vector<bool>> seen(kShards, std::vector<bool>(16, false));
+  for (int i = 0; i < 20000; ++i) {
+    const std::string key = "u" + std::to_string(i);
+    const uint64_t h = FastHash64(key.data(), key.size());
+    const size_t shard = OnlineShardIndex(h, kShards);
+    ASSERT_LT(shard, kShards);
+    seen[shard][h & 15] = true;
+  }
+  for (size_t shard = 0; shard < kShards; ++shard) {
+    for (size_t low = 0; low < 16; ++low) {
+      EXPECT_TRUE(seen[shard][low]) << "shard " << shard << " low " << low;
+    }
+  }
 }
 
 }  // namespace
