@@ -14,7 +14,9 @@
 //      streams cold blocks through the scan scratch and MultiGet decodes
 //      each cold row alone (never promoting its block), so throughput
 //      must degrade sub-linearly — the dequantize-on-read cost per row or
-//      block, not a cliff.
+//      block, not a cliff. The scan runs warm (tier file pages cached) and
+//      cold (cold:1 drops the file's pages before each iteration, see
+//      cold_cache.h), and reports wall time.
 //   3. The classic recall@10 vs QPS tradeoff table for brute/IVF/HNSW
 //      over 100k x 64d vectors (run with --tradeoff).
 //
@@ -37,6 +39,7 @@
 #include <map>
 #include <string>
 
+#include "cold_cache.h"
 #include "common/rng.h"
 #include "embedding/ann.h"
 #include "embedding/distance.h"
@@ -139,7 +142,7 @@ struct TieredFixture {
   std::unique_ptr<AnnIndex> index;  // Tiered brute-force scan.
   std::vector<std::vector<std::string>> key_batches;  // Random MultiGets.
 
-  TieredFixture(int hot_pct, bool readahead) {
+  explicit TieredFixture(int hot_pct) {
     const auto& base = BatchFixtureFor(64);
     std::vector<std::string> keys;
     keys.reserve(base.n);
@@ -157,11 +160,6 @@ struct TieredFixture {
                    ("mlfs_bench_tier_" + std::to_string(::getpid())))
                       .string();
     std::filesystem::create_directories(options.dir);
-    if (readahead) {
-      options.readahead.enabled = true;
-      options.readahead.threads = 1;
-      options.readahead.max_in_flight = 8;
-    }
     table = EmbeddingTable::CreateTiered(*resident, options).value();
     index = MakeTieredBruteForceIndex(table, Metric::kL2);
     MLFS_CHECK_OK(index->Build(nullptr, 0, 0));
@@ -178,12 +176,11 @@ struct TieredFixture {
   }
 };
 
-const TieredFixture& TieredFixtureFor(int hot_pct, bool readahead) {
+const TieredFixture& TieredFixtureFor(int hot_pct) {
   static auto* fixtures = new std::map<int, TieredFixture*>();
-  const int key = hot_pct * 2 + (readahead ? 1 : 0);
-  auto it = fixtures->find(key);
+  auto it = fixtures->find(hot_pct);
   if (it == fixtures->end()) {
-    it = fixtures->emplace(key, new TieredFixture(hot_pct, readahead)).first;
+    it = fixtures->emplace(hot_pct, new TieredFixture(hot_pct)).first;
   }
   return *it->second;
 }
@@ -195,19 +192,21 @@ void ReportTierCounters(benchmark::State& state, const EmbeddingTier& tier) {
   const uint64_t reads = stats.hot_hits + stats.cold_misses;
   state.counters["hit_rate"] = benchmark::Counter(
       reads == 0 ? 1.0 : static_cast<double>(stats.hot_hits) / reads);
-  state.counters["ra_hits"] =
-      benchmark::Counter(static_cast<double>(stats.readahead.hits));
-  state.counters["ra_wasted"] =
-      benchmark::Counter(static_cast<double>(stats.readahead.wasted));
 }
 
 void BM_TieredBruteBatchSearch(benchmark::State& state) {
-  const auto& fixture = TieredFixtureFor(static_cast<int>(state.range(0)),
-                                         state.range(2) != 0);
+  const auto& fixture = TieredFixtureFor(static_cast<int>(state.range(0)));
   const auto& base = BatchFixtureFor(64);
   const size_t batch = static_cast<size_t>(state.range(1));
+  const bool cold = state.range(2) != 0;
+  size_t resident_pages = 0;
   size_t next = 0;
   for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      resident_pages = bench::DropMappedPages(fixture.table->tier()->path());
+      state.ResumeTiming();
+    }
     auto result = fixture.index->BatchSearch(
         base.queries.data() + next * base.dim, batch, kK);
     benchmark::DoNotOptimize(result);
@@ -215,18 +214,22 @@ void BM_TieredBruteBatchSearch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
   ReportTierCounters(state, *fixture.table->tier());
+  if (cold) {
+    // Tier file pages still resident after the last drop (0 expected).
+    state.counters["resident_pages"] =
+        benchmark::Counter(static_cast<double>(resident_pages));
+  }
 }
+// Real time: a cold scan waits on page-ins, which is not CPU time.
 BENCHMARK(BM_TieredBruteBatchSearch)
-    ->ArgNames({"hot_pct", "batch", "ra"})
+    ->ArgNames({"hot_pct", "batch", "cold"})
     ->Args({100, 256, 0})->Args({50, 256, 0})->Args({25, 256, 0})
     ->Args({10, 256, 0})
-    // Async cold-block readahead: the next cold block dequantizes on a
-    // worker thread while the scan consumes the current one.
-    ->Args({50, 256, 1})->Args({25, 256, 1})->Args({10, 256, 1});
+    ->Args({50, 256, 1})->Args({25, 256, 1})->Args({10, 256, 1})
+    ->UseRealTime();
 
 void BM_TieredMultiGet(benchmark::State& state) {
-  const auto& fixture =
-      TieredFixtureFor(static_cast<int>(state.range(0)), /*readahead=*/false);
+  const auto& fixture = TieredFixtureFor(static_cast<int>(state.range(0)));
   size_t next = 0;
   for (auto _ : state) {
     auto rows = fixture.table->MultiGet(fixture.key_batches[next]);
@@ -236,8 +239,6 @@ void BM_TieredMultiGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
   ReportTierCounters(state, *fixture.table->tier());
 }
-// No readahead axis: MultiGet decodes cold rows inline (only scans
-// prefetch).
 BENCHMARK(BM_TieredMultiGet)
     ->ArgNames({"hot_pct"})
     ->Arg(100)->Arg(50)->Arg(25)->Arg(10);

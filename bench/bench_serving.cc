@@ -178,10 +178,13 @@ void BM_OnlineMultiGetLoop(benchmark::State& state) {
 // MinTime widens each measurement window so a transient scheduler or
 // kernel-compaction burst is averaged out instead of owning a whole
 // repetition; the MultiGet/Loop pair is the headline before/after
-// comparison, so its windows get the extra care.
+// comparison, so its windows get the extra care. Every Threads(...)
+// family uses real time, so items_per_second is the wall-clock rate of
+// all client threads together rather than items over one thread's CPU
+// time.
 BENCHMARK(BM_OnlineMultiGetLoop)
     ->ArgName("batch")->Arg(1)->Arg(16)->Arg(256)
-    ->Threads(1)->Threads(4)->Threads(8)->MinTime(1.5);
+    ->Threads(1)->Threads(4)->Threads(8)->MinTime(1.5)->UseRealTime();
 
 // Shard-grouped batched lookup: hash all keys up front, lock each shard
 // once, serve the shard's keys in one shared critical section with staged
@@ -202,7 +205,7 @@ void BM_OnlineMultiGet(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineMultiGet)
     ->ArgName("batch")->Arg(1)->Arg(16)->Arg(256)
-    ->Threads(1)->Threads(4)->Threads(8)->MinTime(1.5);
+    ->Threads(1)->Threads(4)->Threads(8)->MinTime(1.5)->UseRealTime();
 
 // Uniform-key variants of the same pair: the cold-access regime. Zipf(1.1)
 // concentrates most draws on a cache-resident hot head, so the blended
@@ -341,7 +344,7 @@ void BM_FeatureServerBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureServerBatch)
     ->ArgName("batch")->Arg(1)->Arg(16)->Arg(256)
-    ->Threads(1)->Threads(4)->Threads(8);
+    ->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
 
 // Wide-request fixture: 100k entities x 32 materialized feature views,
 // written straight into an OnlineStore (materialization machinery is not
@@ -405,7 +408,7 @@ void BM_FeatureServerBatchWide(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureServerBatchWide)
     ->ArgName("batch")->Arg(1)->Arg(16)->Arg(256)
-    ->Threads(1)->Threads(4);
+    ->Threads(1)->Threads(4)->UseRealTime();
 
 // The same wide request served entity-by-entity: one single-key
 // GetFeatures (a batch of one) per entity.

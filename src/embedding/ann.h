@@ -61,7 +61,7 @@ std::unique_ptr<AnnIndex> MakeBruteForceIndex(Metric metric = Metric::kL2);
 
 class EmbeddingTable;
 /// Exact scan over a *tiered* embedding table: blocks stream out of the
-/// tier (hot arena or dequantize-on-read, never promoting), so search
+/// tier (hot prefix or dequantize-on-read, never promoting), so search
 /// works within the tier's memory budget instead of materializing the
 /// matrix. Build(nullptr, 0, 0) — the data comes from `table`. Results
 /// are bitwise-identical to MakeBruteForceIndex over the served vectors.

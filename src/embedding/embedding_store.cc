@@ -55,7 +55,6 @@ EmbeddingTierOptions EmbeddingStore::TierOptionsLocked(
   options.file_stem = SanitizeFileStem(metadata.name) + "_v" +
                       std::to_string(metadata.version);
   options.remove_file_on_destroy = true;
-  options.readahead = tier_policy_.readahead;
   return options;
 }
 
@@ -69,7 +68,7 @@ void EmbeddingStore::ApplyTierBudgetLocked(Timestamp /*now*/) {
       EmbeddingTablePtr& slot = versions[i];
       if (slot->size() == 0) continue;
       if (slot->tiered()) {
-        if (slot->tier()->hot_limit_blocks() > 0) slot->tier()->SetHotLimit(0);
+        slot->tier()->DemoteAll();
         continue;
       }
       EmbeddingTierOptions options = TierOptionsLocked(slot->metadata(), 0);
@@ -91,7 +90,7 @@ void EmbeddingStore::ApplyTierBudgetLocked(Timestamp /*now*/) {
   }
   // Latest versions share the budget, names in ascending order: a table
   // that fits in the remainder stays resident (exact floats); one that
-  // does not is tiered with the remainder as its hot arena.
+  // does not is tiered with the remainder as its hot prefix budget.
   size_t remaining = tier_policy_.memory_budget_bytes;
   for (auto& [name, versions] : tables_) {
     if (versions.empty()) continue;
@@ -99,7 +98,7 @@ void EmbeddingStore::ApplyTierBudgetLocked(Timestamp /*now*/) {
     if (slot->size() == 0) continue;
     const size_t row_bytes = slot->dim() * sizeof(float);
     if (slot->tiered()) {
-      const size_t arena = slot->tier()->hot_limit_blocks() *
+      const size_t arena = slot->tier()->hot_blocks() *
                            slot->tier()->block_rows() * row_bytes;
       remaining -= std::min(remaining, arena);
       continue;
@@ -116,7 +115,7 @@ void EmbeddingStore::ApplyTierBudgetLocked(Timestamp /*now*/) {
       continue;
     }
     slot = std::move(tiered).value();
-    const size_t arena = slot->tier()->hot_limit_blocks() *
+    const size_t arena = slot->tier()->hot_blocks() *
                          slot->tier()->block_rows() * row_bytes;
     remaining -= std::min(remaining, arena);
   }
@@ -315,25 +314,14 @@ EmbeddingStoreTierStats EmbeddingStore::TierStats() const {
       const EmbeddingTierStats s = table->tier()->stats();
       out.tier.hot_hits += s.hot_hits;
       out.tier.cold_misses += s.cold_misses;
-      out.tier.promotions += s.promotions;
       out.tier.demotions += s.demotions;
       out.tier.scans += s.scans;
       out.tier.scan_cold_blocks += s.scan_cold_blocks;
       out.tier.load_faults += s.load_faults;
       out.tier.hot_blocks += s.hot_blocks;
       out.tier.total_blocks += s.total_blocks;
-      out.tier.hot_limit_blocks += s.hot_limit_blocks;
       out.tier.resident_bytes += s.resident_bytes;
       out.tier.packed_bytes += s.packed_bytes;
-      out.tier.readahead.issued += s.readahead.issued;
-      out.tier.readahead.completed += s.readahead.completed;
-      out.tier.readahead.hits += s.readahead.hits;
-      out.tier.readahead.misses += s.readahead.misses;
-      out.tier.readahead.wasted += s.readahead.wasted;
-      out.tier.readahead.dropped += s.readahead.dropped;
-      out.tier.readahead.deduped += s.readahead.deduped;
-      out.tier.readahead.faults += s.readahead.faults;
-      out.tier.readahead.in_flight += s.readahead.in_flight;
     }
   }
   return out;
@@ -392,18 +380,20 @@ std::string EmbeddingStore::Snapshot() const {
         continue;
       }
       const EmbeddingTier* tier = table->tier();
+      // Exact hot blocks make the restored table serve byte-identical
+      // vectors, not a dequantized approximation of its hot prefix. The
+      // prefix length is recorded twice: as the restore's hot budget in
+      // blocks, and as the block count.
+      const auto hot = tier->HotBlocksSnapshot();
       enc.PutU8(kSnapshotModeTiered);
       enc.PutVarint64(static_cast<uint64_t>(tier->bits()));
       enc.PutVarint64(tier->block_rows());
-      enc.PutVarint64(tier->hot_limit_blocks());
+      enc.PutVarint64(hot.size());
       for (float x : tier->lo()) enc.PutFloat(x);
       for (float x : tier->hi()) enc.PutFloat(x);
       enc.PutString(std::string_view(
           reinterpret_cast<const char*>(tier->codes()),
           tier->n() * tier->row_bytes()));
-      // Exact hot blocks make the restored table serve byte-identical
-      // vectors, not a dequantized approximation of its hot set.
-      const auto hot = tier->HotBlocksSnapshot();
       enc.PutVarint64(hot.size());
       for (const auto& [block, rows] : hot) {
         enc.PutVarint64(block);

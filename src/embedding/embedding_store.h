@@ -20,7 +20,7 @@ struct EmbeddingTierPolicy {
   /// vectors. 0 disables tiering (every table stays resident — the
   /// historical behavior). When set, registration spills whatever does
   /// not fit into packed quantized tier files: the newest version of each
-  /// name gets hot-arena budget first, superseded versions go fully cold.
+  /// name gets hot-prefix budget first, superseded versions go fully cold.
   size_t memory_budget_bytes = 0;
   /// Bits per dimension for spilled tables (1..16).
   int bits = 8;
@@ -36,9 +36,6 @@ struct EmbeddingTierPolicy {
   /// Where tier files are written; empty means
   /// <system temp dir>/mlfs_emb. Files are removed with their tables.
   std::string spill_dir;
-  /// Async cold-block readahead for every tier created under this policy
-  /// (see ReadaheadOptions; disabled by default).
-  ReadaheadOptions readahead;
 };
 
 /// Aggregate tiering counters across every table version in the store.
@@ -51,7 +48,7 @@ struct EmbeddingStoreTierStats {
   /// Snapshot restores that fell back to a resident table because the
   /// tier file could not be rebuilt.
   uint64_t restore_fallbacks = 0;
-  /// Sum of the per-tier counters (hits, misses, promotions, ...).
+  /// Sum of the per-tier counters (hits, misses, demotions, ...).
   EmbeddingTierStats tier;
 };
 
@@ -132,9 +129,11 @@ class EmbeddingStore {
   /// Restores a Snapshot() into this (empty) store, preserving version
   /// numbers and re-recording lineage edges (without re-emitting
   /// staleness events — restore the graph's own snapshot for those).
-  /// Reads both the legacy resident-only format and the tiered format; a
-  /// tiered entry whose tier file cannot be rebuilt falls back to an
-  /// equivalent resident table (counted in TierStats().restore_fallbacks).
+  /// Each table comes back in the form it was saved in: resident, or
+  /// tiered with the same hot prefix (a hot set that is not blocks 0..h-1
+  /// within the recorded count is Corruption). A tiered entry whose tier
+  /// file cannot be rebuilt falls back to an equivalent resident table
+  /// (counted in TierStats().restore_fallbacks).
   Status Restore(std::string_view snapshot);
 
  private:
@@ -143,9 +142,10 @@ class EmbeddingStore {
                      int previous_version);
 
   /// Caller holds mu_. Re-applies the tier budget across every version:
-  /// newest version of each name is granted hot budget first, superseded
-  /// versions oldest-last, and tables that no longer fit are converted to
-  /// tiered form in place. No-op without a budget.
+  /// superseded versions are tiered with no hot prefix (or demoted), the
+  /// newest version of each name shares the budget in name order, and
+  /// tables that no longer fit are converted to tiered form in place.
+  /// No-op without a budget.
   void ApplyTierBudgetLocked(Timestamp now);
 
   /// Caller holds mu_. Tier options for one table under the policy.

@@ -48,11 +48,11 @@ struct EmbeddingTableMetadata {
 ///
 /// A table is either *resident* (all vectors in one float32 buffer, the
 /// historical form) or *tiered* (vectors live in an EmbeddingTier: packed
-/// quantized codes in a memory-mapped file plus a budgeted hot block cache
-/// of exact float rows — the MLKV-style out-of-core form for working sets
+/// quantized codes in a memory-mapped file plus a budgeted hot prefix of
+/// exact float rows — the MLKV-style out-of-core form for working sets
 /// that outgrow RAM, paper §3.1.2). Get/MultiGet/GetVector behave
 /// identically in both forms except that a tiered table serves
-/// *dequantized* values for rows outside its hot blocks; pointers
+/// *dequantized* values for rows outside its hot prefix; pointers
 /// returned by a tiered table stay valid until the calling thread's next
 /// Get/MultiGet on any tiered table (copy them before the next lookup —
 /// every in-tree caller copies immediately). row()/raw() remain

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <unordered_set>
 
 #include "common/failpoint.h"
 
@@ -49,6 +48,20 @@ inline float LoadFloat(const uint8_t* p) {
 
 std::atomic<uint64_t> g_tier_file_counter{0};
 
+/// The calling thread's pin set, shared by every tier: each read clears
+/// it and parks there what the pointers it hands out point into (the hot
+/// prefix it read, the rows it decoded).
+std::vector<std::shared_ptr<const void>>& ThreadPins() {
+  thread_local std::vector<std::shared_ptr<const void>> pins;
+  return pins;
+}
+
+/// Whole blocks of `block_rows` x `dim` floats that fit in `budget` bytes,
+/// at most `blocks`.
+size_t HotLimit(size_t budget, size_t dim, size_t block_rows, size_t blocks) {
+  return std::min(budget / (dim * sizeof(float)) / block_rows, blocks);
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<EmbeddingTier>> EmbeddingTier::Build(
@@ -60,20 +73,15 @@ StatusOr<std::unique_ptr<EmbeddingTier>> EmbeddingTier::Build(
                         PackUniform(data, n, dim, options.bits));
   std::unique_ptr<EmbeddingTier> tier(new EmbeddingTier());
   MLFS_RETURN_IF_ERROR(tier->WriteAndMap(packed, options));
-  // Seed the hot arena with the leading blocks that fit the budget,
-  // holding the *exact* source floats (not a dequantized round trip): a
-  // row that is never demoted serves byte-identical data. Seeding is
-  // placement, not promotion, so it leaves the promotion counter alone.
-  const size_t seed =
-      std::min(tier->cache_->capacity(), tier->blocks_count_);
-  for (size_t b = 0; b < seed; ++b) {
-    const size_t row0 = tier->BlockRow0(b);
-    const size_t nrows = tier->BlockRows(b);
-    tier->cache_->Insert(b,
-                         std::make_shared<const std::vector<float>>(
-                             data + row0 * dim, data + (row0 + nrows) * dim),
-                         tier->BlockBytes(b), tier->cache_->BeginBatch(),
-                         /*count_promotion=*/false);
+  // The hot prefix holds the *exact* source floats of the leading blocks
+  // that fit the budget (not a dequantized round trip), so a hot row
+  // serves byte-identical data.
+  const size_t h = HotLimit(options.memory_budget_bytes, dim,
+                            tier->block_rows_, tier->blocks_count_);
+  if (h > 0) {
+    const size_t rows = std::min(h * tier->block_rows_, n);
+    tier->hot_ = std::make_shared<const std::vector<float>>(
+        data, data + rows * dim);
   }
   return tier;
 }
@@ -90,23 +98,35 @@ StatusOr<std::unique_ptr<EmbeddingTier>> EmbeddingTier::Restore(
       packed.codes.size() != packed.n * packed.row_bytes) {
     return Status::Corruption("embedding tier snapshot: bad packed shape");
   }
+  if (options.block_rows == 0) {
+    return Status::InvalidArgument("embedding tier: block_rows must be > 0");
+  }
+  // The hot set is a prefix: blocks 0..h-1 in order, h within the budget.
+  // Checked before the spill, so no restore path adopts another shape.
+  const size_t block_rows = options.block_rows;
+  const size_t blocks =
+      packed.n / block_rows + (packed.n % block_rows != 0);
+  if (hot_blocks.size() > HotLimit(options.memory_budget_bytes, packed.dim,
+                                   block_rows, blocks)) {
+    return Status::Corruption("embedding tier snapshot: hot blocks exceed "
+                              "the budget");
+  }
+  std::vector<float> prefix;
+  for (size_t b = 0; b < hot_blocks.size(); ++b) {
+    const std::vector<float>& rows = hot_blocks[b].second;
+    if (hot_blocks[b].first != b ||
+        rows.size() !=
+            std::min(block_rows, packed.n - b * block_rows) * packed.dim) {
+      return Status::Corruption("embedding tier snapshot: hot blocks are "
+                                "not a prefix");
+    }
+    prefix.insert(prefix.end(), rows.begin(), rows.end());
+  }
   options.bits = packed.bits;
   std::unique_ptr<EmbeddingTier> tier(new EmbeddingTier());
   MLFS_RETURN_IF_ERROR(tier->WriteAndMap(packed, options));
-  // Seed in snapshot order: later blocks carry newer stamps, so a restore
-  // under a smaller budget keeps the same blocks a full seed + demotion
-  // pass would.
-  std::unordered_set<uint32_t> seen;
-  for (auto& [b, rows] : hot_blocks) {
-    if (b >= tier->blocks_count_ ||
-        rows.size() != tier->BlockRows(b) * tier->dim_ ||
-        !seen.insert(b).second) {
-      return Status::Corruption("embedding tier snapshot: bad hot block");
-    }
-    tier->cache_->Insert(
-        b, std::make_shared<const std::vector<float>>(std::move(rows)),
-        tier->BlockBytes(b), tier->cache_->BeginBatch(),
-        /*count_promotion=*/false);
+  if (!prefix.empty()) {
+    tier->hot_ = std::make_shared<const std::vector<float>>(std::move(prefix));
   }
   return tier;
 }
@@ -145,16 +165,7 @@ Status EmbeddingTier::WriteAndMap(const PackedCodes& packed,
                               BlockFile::Seal(kTierMagic, kTierVersion, body),
                               std::move(path), options.remove_file_on_destroy,
                               "tier file"));
-  MLFS_RETURN_IF_ERROR(ParseBody());
-
-  const size_t block_bytes = block_rows_ * dim_ * sizeof(float);
-  const size_t hot_limit =
-      std::min(block_bytes == 0 ? size_t{0}
-                                : options.memory_budget_bytes / block_bytes,
-               blocks_count_);
-  cache_ = std::make_unique<BlockCache>(blocks_count_, hot_limit);
-  readahead_ = std::make_unique<ReadaheadScheduler>(options.readahead);
-  return Status::OK();
+  return ParseBody();
 }
 
 Status EmbeddingTier::ParseBody() {
@@ -178,7 +189,7 @@ Status EmbeddingTier::ParseBody() {
   dim_ = dim;
   block_rows_ = block_rows;
   row_bytes_ = (dim_ * static_cast<size_t>(bits_) + 7) / 8;
-  blocks_count_ = (n_ + block_rows_ - 1) / block_rows_;
+  blocks_count_ = n_ / block_rows_ + (n_ % block_rows_ != 0);
   if (body_view.size() < kTierBodyFixedBytes + 8 * dim_) {
     return Status::Corruption("tier file range table truncated");
   }
@@ -214,10 +225,9 @@ PackedCodesView EmbeddingTier::MapView() const {
   return view;
 }
 
-BlockCache::Payload EmbeddingTier::LoadBlockPayload(size_t b) const {
-  auto rows = std::make_shared<std::vector<float>>(BlockRows(b) * dim_);
-  DequantizeRange(MapView(), BlockRow0(b), BlockRows(b), rows->data());
-  return rows;
+EmbeddingTier::HotPrefix EmbeddingTier::Hot() const {
+  std::lock_guard<std::mutex> lock(hot_mu_);
+  return hot_;
 }
 
 Status EmbeddingTier::CheckLoadFault() const {
@@ -240,47 +250,44 @@ StatusOr<const float*> EmbeddingTier::GetRow(size_t row) const {
 Status EmbeddingTier::MultiGetRows(std::span<const int64_t> rows,
                                    std::vector<const float*>* out) const {
   out->assign(rows.size(), nullptr);
-  auto& pins = BlockCache::ThreadPins();
+  auto& pins = ThreadPins();
   pins.clear();
-  // (row, slot) pairs in row order, so each block's rows are adjacent:
-  // one Touch refreshes a hot block's stamp and one pin serves them all.
-  std::vector<std::pair<size_t, size_t>> order;
-  order.reserve(rows.size());
+  HotPrefix hot = Hot();
+  const size_t hot_rows = HotRows(hot);
+  auto in_range = [&](int64_t r) {
+    return r >= 0 && static_cast<size_t>(r) < n_;
+  };
+  size_t hits = 0, cold = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i] >= 0 && static_cast<size_t>(rows[i]) < n_) {
-      order.emplace_back(static_cast<size_t>(rows[i]), i);
+    if (!in_range(rows[i])) continue;
+    const size_t row = static_cast<size_t>(rows[i]);
+    if (row < hot_rows) {
+      (*out)[i] = hot->data() + row * dim_;
+      ++hits;
+    } else {
+      ++cold;
     }
   }
-  std::sort(order.begin(), order.end());
-  const uint64_t stamp = cache_->BeginBatch();
-  size_t cold = 0;  // Cold pairs compact to the front of `order`.
-  for (size_t k = 0; k < order.size();) {
-    const size_t b = order[k].first / block_rows_;
-    BlockCache::Payload hot = cache_->Touch(b, stamp);
-    for (; k < order.size() && order[k].first / block_rows_ == b; ++k) {
-      if (hot == nullptr) {
-        order[cold++] = order[k];
-      } else {
-        (*out)[order[k].second] =
-            BlockFloats(hot) + (order[k].first - BlockRow0(b)) * dim_;
-      }
-    }
-    if (hot != nullptr) pins.push_back(std::move(hot));
-  }
-  cache_->CountAccess(order.size() - cold, cold);
+  hot_hits_.fetch_add(hits, std::memory_order_relaxed);
+  cold_misses_.fetch_add(cold, std::memory_order_relaxed);
+  if (hits > 0) pins.push_back(std::move(hot));
   if (cold == 0) return Status::OK();
 
   // Cold rows decode from the mapped codes into one per-call buffer that
-  // the pin set owns. Their blocks are never promoted: only SetHotLimit
-  // changes the hot set. A load fault leaves every cold slot null.
+  // the pin set owns; their blocks never join the hot prefix. A load
+  // fault leaves every cold slot null.
   MLFS_RETURN_IF_ERROR(CheckLoadFault());
   std::shared_ptr<float[]> decoded =
       std::make_shared_for_overwrite<float[]>(cold * dim_);
   const PackedCodesView view = MapView();
-  for (size_t c = 0; c < cold; ++c) {
-    float* dst = decoded.get() + c * dim_;
-    DequantizeRange(view, order[c].first, 1, dst);
-    (*out)[order[c].second] = dst;
+  float* dst = decoded.get();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!in_range(rows[i]) || static_cast<size_t>(rows[i]) < hot_rows) {
+      continue;
+    }
+    DequantizeRange(view, static_cast<size_t>(rows[i]), 1, dst);
+    (*out)[i] = dst;
+    dst += dim_;
   }
   pins.push_back(std::move(decoded));
   return Status::OK();
@@ -288,11 +295,9 @@ Status EmbeddingTier::MultiGetRows(std::span<const int64_t> rows,
 
 void EmbeddingTier::CopyRow(size_t row, float* out) const {
   MLFS_DCHECK(row < n_);
-  const size_t b = row / block_rows_;
-  BlockCache::Payload local = cache_->Peek(b);
-  if (local != nullptr) {
-    std::memcpy(out, BlockFloats(local) + (row - BlockRow0(b)) * dim_,
-                dim_ * sizeof(float));
+  const HotPrefix hot = Hot();
+  if (row < HotRows(hot)) {
+    std::memcpy(out, hot->data() + row * dim_, dim_ * sizeof(float));
   } else {
     DequantizeRange(MapView(), row, 1, out);
   }
@@ -303,73 +308,61 @@ Status EmbeddingTier::ScanBlocks(
         fn) const {
   MLFS_RETURN_IF_ERROR(CheckLoadFault());
   scans_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t stamp = cache_->BeginBatch();
-  // Sequential-scan readahead: while fn chews on block b, the scheduler
-  // dequantizes the next cold block. Peek keeps the probe from
-  // perturbing LRU order.
-  const bool ra = readahead_->enabled();
-  auto prefetch_next = [&](size_t next) {
-    if (!ra || next >= blocks_count_ || cache_->Peek(next) != nullptr) return;
-    readahead_->Prefetch(next,
-                         [this, next] { return LoadBlockPayload(next); });
-  };
-  prefetch_next(0);
+  const HotPrefix hot = Hot();
+  const size_t hot_blocks = HotBlocks(hot);
+  const PackedCodesView view = MapView();
   std::vector<float> scratch;
   for (size_t b = 0; b < blocks_count_; ++b) {
     const size_t row0 = BlockRow0(b);
     const size_t nrows = BlockRows(b);
-    // Refresh so a scan keeps the hot set warm, but never promote: a
-    // full ANN pass must not flush the point-lookup working set.
-    BlockCache::Payload local = cache_->Touch(b, stamp);
-    prefetch_next(b + 1);
-    if (local != nullptr) {
-      fn(row0, nrows, BlockFloats(local));
+    if (b < hot_blocks) {
+      fn(row0, nrows, hot->data() + row0 * dim_);
       continue;
     }
     scan_cold_blocks_.fetch_add(1, std::memory_order_relaxed);
-    BlockCache::Payload fetched = ra ? readahead_->Consume(b) : nullptr;
-    if (fetched != nullptr) {
-      fn(row0, nrows, BlockFloats(fetched));
-    } else {
-      scratch.resize(nrows * dim_);
-      DequantizeRange(MapView(), row0, nrows, scratch.data());
-      fn(row0, nrows, scratch.data());
-    }
+    scratch.resize(nrows * dim_);
+    DequantizeRange(view, row0, nrows, scratch.data());
+    fn(row0, nrows, scratch.data());
   }
   return Status::OK();
 }
 
-void EmbeddingTier::SetHotLimit(size_t blocks) const {
-  cache_->SetCapacity(blocks);
+void EmbeddingTier::DemoteAll() const {
+  HotPrefix dropped;
+  {
+    std::lock_guard<std::mutex> lock(hot_mu_);
+    dropped.swap(hot_);
+  }
+  // Freed here unless a reader's pin set still holds it.
+  demotions_.fetch_add(HotBlocks(dropped), std::memory_order_relaxed);
 }
 
 EmbeddingTierStats EmbeddingTier::stats() const {
-  const BlockCacheStats cs = cache_->stats();
+  const HotPrefix hot = Hot();
   EmbeddingTierStats s;
-  s.hot_hits = cs.hits;
-  s.cold_misses = cs.misses;
-  s.promotions = cs.promotions;
-  s.demotions = cs.evictions;
+  s.hot_hits = hot_hits_.load(std::memory_order_relaxed);
+  s.cold_misses = cold_misses_.load(std::memory_order_relaxed);
+  s.demotions = demotions_.load(std::memory_order_relaxed);
   s.scans = scans_.load(std::memory_order_relaxed);
   s.scan_cold_blocks = scan_cold_blocks_.load(std::memory_order_relaxed);
   s.load_faults = load_faults_.load(std::memory_order_relaxed);
-  s.hot_blocks = cs.resident_blocks;
-  s.total_blocks = cs.num_blocks;
-  s.hot_limit_blocks = cs.capacity_blocks;
-  s.resident_bytes = cs.resident_bytes;
+  s.hot_blocks = HotBlocks(hot);
+  s.total_blocks = blocks_count_;
+  s.resident_bytes = HotRows(hot) * dim_ * sizeof(float);
   s.packed_bytes = file_->size();
-  s.readahead = readahead_->stats();
   return s;
 }
 
 std::vector<std::pair<uint32_t, std::vector<float>>>
 EmbeddingTier::HotBlocksSnapshot() const {
-  std::vector<std::pair<uint32_t, std::vector<float>>> hot;
-  for (auto& [b, payload] : cache_->ResidentSnapshot()) {
-    hot.emplace_back(b,
-                     *static_cast<const std::vector<float>*>(payload.get()));
+  const HotPrefix hot = Hot();
+  std::vector<std::pair<uint32_t, std::vector<float>>> out;
+  for (size_t b = 0; b < HotBlocks(hot); ++b) {
+    const float* rows = hot->data() + BlockRow0(b) * dim_;
+    out.emplace_back(static_cast<uint32_t>(b),
+                     std::vector<float>(rows, rows + BlockRows(b) * dim_));
   }
-  return hot;
+  return out;
 }
 
 }  // namespace mlfs

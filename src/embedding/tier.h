@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -13,7 +14,6 @@
 
 #include "common/status.h"
 #include "embedding/compress.h"
-#include "io/block_cache.h"
 #include "io/block_file.h"
 #include "io/readahead.h"
 
@@ -21,14 +21,15 @@ namespace mlfs {
 
 /// Configuration of one table's cold tier.
 struct EmbeddingTierOptions {
-  /// Budget for the hot float32 arena (the only RAM the tier manages; the
+  /// Budget for the hot prefix (the only float32 RAM the tier holds; the
   /// packed file is memory-mapped and the key index stays resident either
-  /// way). 0 means no hot blocks: every read dequantizes.
+  /// way). The leading blocks that fit are hot; 0 means none: every read
+  /// dequantizes.
   size_t memory_budget_bytes = 0;
   /// Bits per dimension in the packed cold tier (1..16).
   int bits = 8;
-  /// Rows per block — the unit of the hot arena (seeding, demotion) and
-  /// of scan dequantization; point reads decode single rows.
+  /// Rows per block — the unit of the hot prefix and of scan
+  /// dequantization; point reads decode single rows.
   size_t block_rows = 256;
   /// Directory the packed tier file is written into (required).
   std::string dir;
@@ -37,80 +38,73 @@ struct EmbeddingTierOptions {
   /// Tier files are scratch by default: deleted when the tier is
   /// destroyed. Snapshots embed the packed codes, not the file path.
   bool remove_file_on_destroy = true;
-  /// Async cold-block prefetch for ScanBlocks (io/readahead.h).
-  /// Default-disabled; scanned bytes are identical either way
-  /// (dequantization is deterministic), readahead only moves it off the
-  /// scanning thread.
-  ReadaheadOptions readahead;
 };
 
 /// Monotonic tier counters plus a point-in-time occupancy snapshot.
 struct EmbeddingTierStats {
-  uint64_t hot_hits = 0;      // Rows served from the hot arena.
+  uint64_t hot_hits = 0;      // Rows served from the hot prefix.
   uint64_t cold_misses = 0;   // Rows decoded from the packed codes.
-  uint64_t promotions = 0;    // Always 0: reads never promote a block.
-  uint64_t demotions = 0;     // Hot blocks evicted back to codes-only.
+  /// Always 0: reads never promote a block. Kept because the benchmark's
+  /// traced report reads it (io.tier.promotions).
+  uint64_t promotions = 0;
+  uint64_t demotions = 0;     // Hot blocks dropped by DemoteAll.
   uint64_t scans = 0;         // ScanBlocks passes (ANN scans).
   uint64_t scan_cold_blocks = 0;  // Blocks dequantized into scan scratch.
   uint64_t load_faults = 0;   // Injected embedding.tier.load failures.
   size_t hot_blocks = 0;
   size_t total_blocks = 0;
-  size_t hot_limit_blocks = 0;
-  size_t resident_bytes = 0;  // Hot arena bytes right now.
+  size_t resident_bytes = 0;  // Hot prefix bytes right now.
   size_t packed_bytes = 0;    // Size of the mmap'd tier file.
-  ReadaheadStats readahead;   // Scan prefetch counters.
+  /// Always zero: the tier has no readahead. Kept because the benchmark
+  /// adds it into its io.readahead.* counters.
+  ReadaheadStats readahead;
 };
 
 /// The out-of-core half of a tiered EmbeddingTable (MLKV-style): every row
-/// lives scalar-quantized in a checksummed, memory-mapped file; a bounded
-/// set of "hot" blocks additionally holds float32 rows in RAM. Reads are
-/// served from the hot arena when possible; a cold row is decoded alone
-/// from the mapped codes (row decode), and its block is never promoted.
-/// The hot set is what Build/Restore seeded, shrunk only by SetHotLimit,
-/// so seeded rows stay exact. Reads and full scans (ScanBlocks) refresh
-/// the stamps of the hot blocks they touch, which decides what a later
-/// SetHotLimit shrink demotes first.
+/// lives scalar-quantized in a checksummed, memory-mapped file, and a
+/// *hot prefix* — blocks [0, h) — additionally holds exact float32 rows
+/// in RAM. A read serves a hot row from the prefix and decodes a cold row
+/// alone from the mapped codes; reads never change the hot set. Build and
+/// Restore fix the prefix, and the only change after that is DemoteAll,
+/// which drops all of it. So a row that was ever served exact stays exact
+/// until DemoteAll, and after DemoteAll every row serves codec values.
 ///
-/// Storage plumbing is the shared io/ subsystem: the packed file is a
-/// BlockFile ("MLET" magic in the common envelope, spilled with the
-/// WriteFileAtomic + mmap-reopen discipline and fully validated at open),
-/// the hot arena is a BlockCache (batch-granular LRU with the shared
-/// thread-local pin set), and scan prefetch runs on a ReadaheadScheduler.
-/// This file owns only the quantization codec and the row-addressing
-/// geometry.
+/// The packed file is a BlockFile ("MLET" magic in the common envelope,
+/// spilled with the WriteFileAtomic + mmap-reopen discipline and fully
+/// validated at open); this file owns the quantization codec, the
+/// row-addressing geometry and the hot prefix.
 ///
 ///   body: u32 bits, u64 n, u64 dim, u64 block_rows,
 ///         float lo[dim], float hi[dim], codes[n * row_bytes]
 ///
 /// Pointer lifetime: pointers handed out by GetRow/MultiGetRows stay
 /// valid until the *calling thread's* next GetRow/MultiGetRows on any
-/// tier (the BlockCache thread-local pin set keeps the backing hot blocks
-/// and the call's decoded cold rows alive across concurrent demotion);
-/// copy before issuing another read.
-/// Hot demotion therefore never invalidates a pointer another thread
-/// just obtained.
+/// tier. Each read parks the prefix it served from and the rows it
+/// decoded in a thread-local pin set, cleared at the start of the
+/// thread's next read, so a DemoteAll on another thread never frees
+/// storage a reader still dereferences. Copy before issuing another read.
 ///
 /// Failpoints: "embedding.tier.spill" fires before the tier file is
 /// written (Build/Restore fail cleanly); "embedding.tier.load" fires when
 /// a read needs a cold row or a scan runs (GetRow/ScanBlocks propagate
 /// the injected status; MultiGetRows nulls the cold rows and returns it);
-/// "io.load" (in BlockFile::Map) and "io.readahead" (in the scheduler)
-/// fire underneath.
+/// "io.load" (in BlockFile::Map) fires underneath.
 ///
-/// Thread-safe; the cache and scheduler carry their own locks,
-/// dequantization runs outside all of them.
+/// Thread-safe: a read takes the prefix mutex once to copy the prefix
+/// pointer, and decodes outside it.
 class EmbeddingTier {
  public:
   /// Packs `data` (n x dim row-major float32), writes + maps the tier
-  /// file, and seeds the hot arena with the first blocks that fit the
-  /// budget, holding *exact* copies of `data` (a never-demoted row serves
-  /// byte-identical floats; only demoted/cold rows pay quantization
-  /// error).
+  /// file, and makes the leading blocks that fit the budget the hot
+  /// prefix, holding *exact* copies of `data` (a hot row serves
+  /// byte-identical floats; only cold rows pay quantization error).
   static StatusOr<std::unique_ptr<EmbeddingTier>> Build(
       const float* data, size_t n, size_t dim, EmbeddingTierOptions options);
 
   /// Rebuilds a tier from snapshot parts: the packed codes and the hot
   /// blocks (block id -> exact float rows) captured by HotBlocksSnapshot.
+  /// The hot blocks must be exactly blocks 0..h-1, in order, with h
+  /// within the budget; any other shape is Corruption.
   static StatusOr<std::unique_ptr<EmbeddingTier>> Restore(
       PackedCodes packed,
       std::vector<std::pair<uint32_t, std::vector<float>>> hot_blocks,
@@ -120,25 +114,24 @@ class EmbeddingTier {
   EmbeddingTier(const EmbeddingTier&) = delete;
   EmbeddingTier& operator=(const EmbeddingTier&) = delete;
 
-  /// Row pointer (hot arena or the row decoded alone); see the pointer
+  /// Row pointer (hot prefix or the row decoded alone); see the pointer
   /// lifetime contract above.
   StatusOr<const float*> GetRow(size_t row) const;
 
   /// Batched lookup: out[i] points at rows[i]'s vector, or is null when
   /// rows[i] is out of range or a cold row whose load was fault-injected;
   /// the injected fault is returned (OK otherwise). Hits and misses count
-  /// per row; each distinct hot block is stamped and pinned once.
+  /// per row.
   Status MultiGetRows(std::span<const int64_t> rows,
                       std::vector<const float*>* out) const;
 
-  /// Copies one row into `out` (dim floats) without stamping or pinning.
+  /// Copies one row into `out` (dim floats) without pinning.
   void CopyRow(size_t row, float* out) const;
 
   /// Streams every row block-wise in ascending row order:
   /// fn(row0, nrows, rows) where `rows` is nrows x dim floats — the hot
-  /// arena directly, or a per-call scratch for dequantized cold blocks.
-  /// Refreshes hot stamps, never promotes. With readahead enabled the
-  /// next cold block dequantizes on the scheduler while fn runs.
+  /// prefix directly, or a per-call scratch for dequantized cold blocks.
+  /// The scan reads the prefix it found when it started.
   Status ScanBlocks(
       const std::function<void(size_t row0, size_t nrows, const float* rows)>&
           fn) const;
@@ -149,35 +142,35 @@ class EmbeddingTier {
   size_t block_rows() const { return block_rows_; }
   size_t row_bytes() const { return row_bytes_; }
   size_t num_blocks() const { return blocks_count_; }
-  size_t hot_limit_blocks() const { return cache_->capacity(); }
+  /// Length of the hot prefix in blocks.
+  size_t hot_blocks() const { return HotBlocks(Hot()); }
   const std::vector<float>& lo() const { return lo_f_; }
   const std::vector<float>& hi() const { return hi_f_; }
   /// The packed code section (n * row_bytes bytes, mmap-backed).
   const uint8_t* codes() const { return codes_; }
   const std::string& path() const { return file_->path(); }
 
-  /// Adjusts the hot arena capacity in blocks (cache policy, not data):
-  /// shrinking demotes the least recently touched blocks immediately;
-  /// growing demotes nothing and promotes nothing. The store uses this to
-  /// take the arena away from superseded versions without rewriting tier
-  /// files.
-  void SetHotLimit(size_t blocks) const;
+  /// Drops the whole hot prefix: every row serves codec values from now
+  /// on. The store uses this to take RAM away from superseded versions
+  /// without rewriting tier files.
+  void DemoteAll() const;
 
   EmbeddingTierStats stats() const;
 
-  /// Current hot blocks as (block id, exact float rows) pairs — the
-  /// mutable half of a snapshot (the immutable half is codes()/lo()/hi()).
+  /// The hot prefix split back into (block id, exact float rows) pairs,
+  /// blocks 0..h-1 — the mutable half of a snapshot (the immutable half
+  /// is codes()/lo()/hi()).
   std::vector<std::pair<uint32_t, std::vector<float>>> HotBlocksSnapshot()
       const;
 
  private:
-  using BlockData = std::shared_ptr<const std::vector<float>>;
+  /// Exact float32 rows of blocks [0, h), row-major; null when h = 0.
+  using HotPrefix = std::shared_ptr<const std::vector<float>>;
 
   EmbeddingTier() = default;
 
-  /// Encodes the packed matrix into the shared envelope, spills it via
-  /// BlockFile (atomic write + mmap reopen), and wires up the cache and
-  /// readahead scheduler.
+  /// Encodes the packed matrix into the shared envelope and spills it via
+  /// BlockFile (atomic write + mmap reopen).
   Status WriteAndMap(const PackedCodes& packed, const EmbeddingTierOptions&
                      options);
   /// Validates the mapped body and wires up codes_/lo/hi/steps.
@@ -190,18 +183,17 @@ class EmbeddingTier {
   size_t BlockRows(size_t b) const {
     return std::min(block_rows_, n_ - BlockRow0(b));
   }
-  size_t BlockBytes(size_t b) const {
-    return BlockRows(b) * dim_ * sizeof(float);
+  /// The current hot prefix (one mutex acquisition).
+  HotPrefix Hot() const;
+  size_t HotRows(const HotPrefix& hot) const {
+    return hot == nullptr ? 0 : hot->size() / dim_;
   }
-  /// Dequantizes block `b` into a fresh vector<float> payload (what scan
-  /// readahead jobs materialize; no locks needed: the mapped codes are
-  /// immutable).
-  BlockCache::Payload LoadBlockPayload(size_t b) const;
+  size_t HotBlocks(const HotPrefix& hot) const {
+    const size_t rows = HotRows(hot);
+    return rows / block_rows_ + (rows % block_rows_ != 0);
+  }
   /// Evaluates the "embedding.tier.load" failpoint, counting a fault.
   Status CheckLoadFault() const;
-  static const float* BlockFloats(const BlockCache::Payload& p) {
-    return static_cast<const std::vector<float>*>(p.get())->data();
-  }
 
   // Codec geometry (immutable after open).
   int bits_ = 0;
@@ -213,14 +205,14 @@ class EmbeddingTier {
   std::vector<float> lo_f_, hi_f_;
   PackedDecodeTables tables_;
   const uint8_t* codes_ = nullptr;
-
-  // The mapped tier file; declared before the cache and scheduler so
-  // in-flight readahead jobs (which read the mapped codes) drain first.
   BlockFilePtr file_;
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<ReadaheadScheduler> readahead_;
 
-  // Tier-specific counters (the cache and scheduler keep their own).
+  mutable std::mutex hot_mu_;
+  mutable HotPrefix hot_;  // Guarded by hot_mu_; replaced, never mutated.
+
+  mutable std::atomic<uint64_t> hot_hits_{0};
+  mutable std::atomic<uint64_t> cold_misses_{0};
+  mutable std::atomic<uint64_t> demotions_{0};
   mutable std::atomic<uint64_t> scans_{0};
   mutable std::atomic<uint64_t> scan_cold_blocks_{0};
   mutable std::atomic<uint64_t> load_faults_{0};

@@ -22,7 +22,7 @@ std::vector<Neighbor> DrainHeap(BestHeap* heap) {
 }
 
 /// Exact scan over a *tiered* embedding table: blocks stream out of the
-/// tier (hot arena directly, cold blocks dequantized into scan scratch —
+/// tier (hot prefix directly, cold blocks dequantized into scan scratch —
 /// never promoted, so an ANN pass cannot flush the point-lookup working
 /// set) and queries tile over each block while it is cache-resident.
 ///

@@ -14,10 +14,9 @@
 
 namespace mlfs {
 
-/// Readahead configuration, embedded in OfflineTableOptions and
-/// EmbeddingTierOptions. Default-disabled: readahead is a pure overlap
-/// optimization and every serving path must produce bit-identical
-/// results with it off.
+/// Readahead configuration, embedded in OfflineTableOptions.
+/// Default-disabled: readahead is a pure overlap optimization and every
+/// read must produce bit-identical results with it off.
 struct ReadaheadOptions {
   bool enabled = false;
   /// Prefetches beyond this many in flight are dropped (counted), never
@@ -45,13 +44,11 @@ struct ReadaheadStats {
 };
 
 /// Asynchronous prefetch of predicted-next blocks onto a thread pool —
-/// the overlap engine behind cold-tier AsOfBatch and MultiGet (MLKV-style
-/// out-of-core serving: hide disk latency behind compute instead of
-/// paying it on the serving thread).
+/// the overlap engine behind AsOfBatch over spilled segments (hide disk
+/// latency behind compute instead of paying it on the reading thread).
 ///
 /// A prefetch is a caller-supplied thunk (typically madvise(WILLNEED) +
-/// page touches on a BlockFile, or dequantizing a cold block) keyed by a
-/// caller-chosen id. The scheduler dedups keys already in flight or
+/// page touches on a BlockFile) keyed by a caller-chosen id. The scheduler dedups keys already in flight or
 /// already materialized, drops requests past max_in_flight, and parks
 /// each thunk's result until the demand path Consumes it:
 ///

@@ -397,7 +397,6 @@ FeatureServerStats FeatureServer::stats() const {
   s.retries = retries_.load(std::memory_order_relaxed);
   s.degraded_features = degraded_features_.load(std::memory_order_relaxed);
   s.degraded_responses = degraded_responses_.load(std::memory_order_relaxed);
-  if (embeddings_ != nullptr) s.embedding_tiers = embeddings_->TierStats();
   return s;
 }
 

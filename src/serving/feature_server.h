@@ -48,10 +48,6 @@ struct FeatureServerStats {
   uint64_t degraded_features = 0;
   /// Responses containing at least one degraded feature.
   uint64_t degraded_responses = 0;
-  /// Aggregate tier + readahead I/O counters for the attached embedding
-  /// store (all zero when the server has no embedding store) — the
-  /// operator-facing view of cold-path behavior behind serving.
-  EmbeddingStoreTierStats embedding_tiers;
 };
 
 /// An assembled feature vector for one entity.

@@ -458,22 +458,17 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
   // (madvise + touch, off-thread) while the cursor works the current one.
   // Keys are segment addresses — stable for the duration of the shared
   // lock. ra_order[0] is being read immediately, so prefetching starts at
-  // ra_order[1]; options.readahead_depth segments are kept in flight
-  // ahead of the cursor.
+  // ra_order[1]; one segment is kept in flight ahead of the cursor.
   std::vector<const Segment*> ra_order;
   size_t ra_next = 1;
-  size_t ra_issued = 1;
-  const size_t ra_depth = std::max<size_t>(1, options.readahead_depth);
-  auto issue_prefetches_until = [&](size_t end) {
-    for (end = std::min(end, ra_order.size()); ra_issued < end; ++ra_issued) {
-      const Segment* next = ra_order[ra_issued];
-      readahead_->Prefetch(
-          reinterpret_cast<uintptr_t>(next),
-          [next]() -> ReadaheadScheduler::Payload {
-            next->PrefetchSpill();
-            return nullptr;  // Page warming: nothing to park.
-          });
-    }
+  auto prefetch = [&](size_t k) {
+    if (k >= ra_order.size()) return;
+    const Segment* next = ra_order[k];
+    readahead_->Prefetch(reinterpret_cast<uintptr_t>(next),
+                         [next]() -> ReadaheadScheduler::Payload {
+                           next->PrefetchSpill();
+                           return nullptr;  // Page warming: nothing to park.
+                         });
   };
   if (readahead_->enabled()) {
     for (i = 0; i < n; ++i) {
@@ -486,7 +481,7 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
         ra_order.push_back(loc.seg);
       }
     }
-    issue_prefetches_until(1 + ra_depth);
+    prefetch(1);
   }
   for (i = 0; i < n; ++i) {
     const GlobalPosting* g = hits[i];
@@ -498,12 +493,11 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
     }
     RowLoc loc = Resolve(*g->part, g->ordinal);
     // First touch of the next planned segment: claim its prefetch (hit
-    // accounting; pages are warm or warming) and top the pipeline back up
-    // to `ra_depth` segments in flight ahead of the cursor.
+    // accounting; pages are warm or warming) and start warming the one
+    // after it.
     if (ra_next < ra_order.size() && loc.seg == ra_order[ra_next]) {
       readahead_->Consume(reinterpret_cast<uintptr_t>(loc.seg));
-      ++ra_next;
-      issue_prefetches_until(ra_next + ra_depth);
+      prefetch(++ra_next);
     }
     if (loc.head != nullptr && !projected) {
       head_hits[i] = loc.head;

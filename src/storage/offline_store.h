@@ -49,12 +49,6 @@ struct AsOfReadOptions {
   /// `results` are left untouched — no empty row is materialized — so
   /// callers null-fill from the bitmap instead of probing result rows.
   std::vector<uint64_t>* miss_bitmap = nullptr;
-  /// Spilled-segment prefetch pipeline depth for this call: AsOfBatch
-  /// keeps up to this many segments ahead of the gather cursor warming
-  /// concurrently (>= 1; meaningful only when the table's readahead is
-  /// enabled). Deeper pipelines help when per-segment gather time is
-  /// shorter than a segment's fault-in time.
-  size_t readahead_depth = 1;
 };
 
 /// One OfflineTable::Scan: the rows with event time in [lo, hi), optionally

@@ -11,7 +11,6 @@
 
 #include "common/failpoint.h"
 #include "common/hash.h"
-#include "io/block_cache.h"
 #include "io/block_file.h"
 #include "io/readahead.h"
 
@@ -185,112 +184,6 @@ TEST_F(IoBlockTest, IoLoadFailpointDegradesMapCleanly) {
   }
   // Disarmed: the same open succeeds — the fault injected no lasting state.
   EXPECT_TRUE(BlockFile::Map(kMagic, kVersion, path, false, "fp").ok());
-}
-
-// --- BlockCache ----------------------------------------------------------
-
-BlockCache::Payload MakePayload(int tag) {
-  return std::make_shared<const int>(tag);
-}
-
-int Tag(const BlockCache::Payload& p) {
-  return *static_cast<const int*>(p.get());
-}
-
-TEST_F(IoBlockTest, CacheEvictsMinStampFirst) {
-  BlockCache cache(/*num_blocks=*/4, /*capacity=*/2);
-  cache.Insert(0, MakePayload(0), 100, cache.BeginBatch());
-  cache.Insert(1, MakePayload(1), 100, cache.BeginBatch());
-  EXPECT_EQ(cache.resident(), 2u);
-  // Block 0 holds the oldest stamp: inserting 2 evicts it.
-  cache.Insert(2, MakePayload(2), 100, cache.BeginBatch());
-  EXPECT_EQ(cache.Peek(0), nullptr);
-  EXPECT_NE(cache.Peek(1), nullptr);
-  EXPECT_NE(cache.Peek(2), nullptr);
-  // Touching 1 refreshes it; the next insert evicts 2 instead.
-  cache.Touch(1, cache.BeginBatch());
-  cache.Insert(3, MakePayload(3), 100, cache.BeginBatch());
-  EXPECT_NE(cache.Peek(1), nullptr);
-  EXPECT_EQ(cache.Peek(2), nullptr);
-  const BlockCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.promotions, 4u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.resident_blocks, 2u);
-  EXPECT_EQ(stats.resident_bytes, 200u);
-}
-
-TEST_F(IoBlockTest, PinnedPayloadSurvivesEviction) {
-  BlockCache cache(/*num_blocks=*/3, /*capacity=*/1);
-  cache.Insert(0, MakePayload(7), 10, cache.BeginBatch());
-  auto& pins = BlockCache::ThreadPins();
-  pins.clear();
-  BlockCache::Payload p = cache.Touch(0, cache.BeginBatch());
-  ASSERT_NE(p, nullptr);
-  pins.push_back(p);
-  const int* interior = static_cast<const int*>(p.get());
-  p.reset();  // Only the pin set holds it now.
-  // Evict block 0 by inserting another block into the 1-slot cache.
-  cache.Insert(1, MakePayload(8), 10, cache.BeginBatch());
-  ASSERT_EQ(cache.Peek(0), nullptr);
-  // The evicted payload is still owned by the pin set: reading through the
-  // interior pointer is valid (ASan would flag a use-after-free here).
-  EXPECT_EQ(*interior, 7);
-  pins.clear();
-}
-
-TEST_F(IoBlockTest, CapacityFlapEvictsAndRefills) {
-  BlockCache cache(/*num_blocks=*/8, /*capacity=*/8);
-  for (size_t b = 0; b < 8; ++b) {
-    cache.Insert(b, MakePayload(static_cast<int>(b)), 1, cache.BeginBatch());
-  }
-  EXPECT_EQ(cache.resident(), 8u);
-  // Shrink: the 5 lowest-stamp blocks (0..4) demote immediately.
-  cache.SetCapacity(3);
-  EXPECT_EQ(cache.resident(), 3u);
-  for (size_t b = 0; b < 5; ++b) EXPECT_EQ(cache.Peek(b), nullptr);
-  for (size_t b = 5; b < 8; ++b) {
-    ASSERT_NE(cache.Peek(b), nullptr);
-    EXPECT_EQ(Tag(cache.Peek(b)), static_cast<int>(b));
-  }
-  // Zero: everything demotes, and inserts become no-ops.
-  cache.SetCapacity(0);
-  EXPECT_EQ(cache.resident(), 0u);
-  EXPECT_FALSE(cache.Insert(0, MakePayload(0), 1, cache.BeginBatch()));
-  EXPECT_EQ(cache.resident(), 0u);
-  // Grow again: future inserts fill the new room.
-  cache.SetCapacity(6);
-  for (size_t b = 0; b < 8; ++b) {
-    cache.Insert(b, MakePayload(static_cast<int>(b)), 1, cache.BeginBatch());
-  }
-  EXPECT_EQ(cache.resident(), 6u);
-  EXPECT_EQ(cache.stats().capacity_blocks, 6u);
-  // Capacity above the block universe clamps.
-  cache.SetCapacity(100);
-  EXPECT_EQ(cache.capacity(), 8u);
-}
-
-TEST_F(IoBlockTest, SeedingDoesNotCountPromotions) {
-  BlockCache cache(4, 4);
-  cache.Insert(0, MakePayload(0), 1, cache.BeginBatch(),
-               /*count_promotion=*/false);
-  cache.Insert(1, MakePayload(1), 1, cache.BeginBatch());
-  EXPECT_EQ(cache.stats().promotions, 1u);
-  // Re-inserting a resident block is not a promotion either.
-  EXPECT_FALSE(cache.Insert(1, MakePayload(9), 1, cache.BeginBatch()));
-  EXPECT_EQ(cache.stats().promotions, 1u);
-  EXPECT_EQ(Tag(cache.Peek(1)), 1) << "resident payload must not be replaced";
-}
-
-TEST_F(IoBlockTest, ResidentSnapshotListsBlocksInOrder) {
-  BlockCache cache(5, 3);
-  cache.Insert(4, MakePayload(4), 1, cache.BeginBatch());
-  cache.Insert(1, MakePayload(1), 1, cache.BeginBatch());
-  auto snapshot = cache.ResidentSnapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, 1u);
-  EXPECT_EQ(snapshot[1].first, 4u);
-  EXPECT_EQ(Tag(snapshot[0].second), 1);
-  EXPECT_EQ(Tag(snapshot[1].second), 4);
 }
 
 // --- ReadaheadScheduler --------------------------------------------------

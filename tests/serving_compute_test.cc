@@ -864,41 +864,44 @@ TEST_F(TimePruneTest, ScanSkipsNonOverlappingSegmentsAndCountsThem) {
   EXPECT_EQ(pushed->size(), want.size());
 }
 
-TEST_F(TimePruneTest, ReadaheadDepthIsByteIdenticalAcrossDepths) {
+TEST_F(TimePruneTest, ReadaheadIsByteIdenticalToDemandReads) {
   const std::string spill_dir =
-      (std::filesystem::path(::testing::TempDir()) / "mlfs_ra_depth")
+      (std::filesystem::path(::testing::TempDir()) / "mlfs_ra_on_off")
           .string();
   std::filesystem::remove_all(spill_dir);
-  OfflineTableOptions opt;
-  opt.spill_dir = spill_dir;
-  opt.memory_budget_bytes = 1;  // Spill everything sealed.
-  opt.readahead.enabled = true;
+  // Two tables over the same rows, everything sealed spilled: one reads
+  // spilled segments with readahead warming the next one, one on demand.
   OfflineStore store;
-  Rng rng(0x4ead);
-  OfflineTable* t = MakeTable(store, "t", opt, rng, 2000);
-  ASSERT_TRUE(t->EnforceMemoryBudget().ok());
-  ASSERT_GE(t->storage_stats().spilled_segments, 2u);
+  std::vector<OfflineTable*> tables;
+  for (bool readahead : {true, false}) {
+    OfflineTableOptions opt;
+    opt.spill_dir = spill_dir;
+    opt.memory_budget_bytes = 1;  // Spill everything sealed.
+    opt.readahead.enabled = readahead;
+    Rng rows_rng(0x4ead);
+    tables.push_back(MakeTable(store, readahead ? "ra" : "demand", opt,
+                               rows_rng, 2000));
+    ASSERT_TRUE(tables.back()->EnforceMemoryBudget().ok());
+    ASSERT_GE(tables.back()->storage_stats().spilled_segments, 2u);
+  }
 
+  Rng rng(0x4eae);
   const auto reqs = MakeRequests(rng, 200);
   std::vector<AsOfRequest> requests;
   for (const auto& [k, ts] : reqs) requests.push_back({k, ts});
 
   std::vector<std::vector<Row>> results;
-  for (size_t depth : {size_t{1}, size_t{3}, size_t{8}}) {
+  for (OfflineTable* t : tables) {
     std::vector<Row> rows(requests.size());
-    AsOfReadOptions options;
-    options.readahead_depth = depth;
-    ASSERT_TRUE(t->AsOfBatch(requests, rows, options).ok()) << depth;
+    ASSERT_TRUE(t->AsOfBatch(requests, rows).ok());
     results.push_back(std::move(rows));
   }
-  for (size_t d = 1; d < results.size(); ++d) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const bool hit0 = results[0][i].schema() != nullptr;
-      const bool hitd = results[d][i].schema() != nullptr;
-      ASSERT_EQ(hit0, hitd) << "depth variant " << d << " request " << i;
-      if (hit0) {
-        EXPECT_EQ(results[0][i], results[d][i]);
-      }
+  EXPECT_GE(tables[0]->storage_stats().readahead.issued, 1u);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const bool hit = results[0][i].schema() != nullptr;
+    ASSERT_EQ(hit, results[1][i].schema() != nullptr) << "request " << i;
+    if (hit) {
+      EXPECT_EQ(results[0][i], results[1][i]);
     }
   }
   std::filesystem::remove_all(spill_dir);

@@ -3,16 +3,16 @@
 // Hammers tiered tables from every access path at once: point-Get threads
 // and MultiGet threads whose reads straddle hot and cold blocks, scan
 // threads streaming the whole tier (brute-force ANN's access pattern), a
-// thread shrinking and regrowing the hot limit (the store's budget
-// rebalancing), and a fault-injection thread arming/disarming the
-// cold-load failpoint. Reads never promote, so SetHotLimit is the only
-// thing that changes the hot set: each round starts from a freshly seeded
-// table and the flapper demotes its hot blocks one by one, spread over
-// the round, while readers hold pointers into them.
+// copy thread taking CopyRow and HotBlocksSnapshot (the registration and
+// checkpoint paths), a DemoteAll thread (the store demoting a superseded
+// version), and a fault-injection thread arming/disarming the cold-load
+// failpoint. Reads never change the hot prefix and DemoteAll drops it
+// once, so each round builds a fresh tier and demotes it at a different
+// point of the round's reads, while readers hold pointers into it.
 // Asserts the invariants the single-threaded suite pins: every served row
-// is bitwise one of the two legal values (exact or dequantized), pointers
-// stay valid until the thread's next lookup, and the counters are
-// coherent.
+// is bitwise one of the two legal values (exact or dequantized), every
+// snapshot is the whole seeded prefix or nothing, pointers stay valid
+// until the thread's next lookup, and the counters are coherent.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,8 +40,8 @@ constexpr int kBits = 8;
 constexpr int kGetters = 3;
 constexpr int kBatchers = 2;
 constexpr int kScanners = 2;
-constexpr int kRounds = 4;
-constexpr int kOpsPerThread = 200;  // Per round.
+constexpr int kRounds = 12;
+constexpr int kOpsPerThread = 100;  // Per round.
 constexpr uint64_t kRoundReads = (kGetters + kBatchers) * kOpsPerThread;
 
 TEST(TieredEmbeddingStressTest, PromotionDemotionScansAndFaultsRace) {
@@ -67,15 +67,18 @@ TEST(TieredEmbeddingStressTest, PromotionDemotionScansAndFaultsRace) {
   options.block_rows = kBlockRows;
   options.dir = dir;
 
-  // The two legal servings of any row: the exact source floats (hot seed)
-  // or the packed codec's dequantization (cold or ever-demoted).
+  // The legal servings of a row: the exact source floats while it is in
+  // the seeded prefix, or the packed codec's dequantization (cold or
+  // demoted). Reads never add a block, so a row outside the prefix is
+  // never exact.
   PackedCodes packed = PackUniform(data.data(), kRows, kDim, kBits).value();
   PackedDecodeTables tables = MakeDecodeTables(kBits, packed.lo, packed.hi);
   std::vector<float> dequantized(kRows * kDim);
   DequantizeRange(ViewOf(packed, tables), 0, kRows, dequantized.data());
   auto legal = [&](size_t row, const float* got) {
-    return std::memcmp(got, data.data() + row * kDim,
-                       kDim * sizeof(float)) == 0 ||
+    return (row < kSeedBlocks * kBlockRows &&
+            std::memcmp(got, data.data() + row * kDim,
+                        kDim * sizeof(float)) == 0) ||
            std::memcmp(got, dequantized.data() + row * kDim,
                        kDim * sizeof(float)) == 0;
   };
@@ -83,6 +86,7 @@ TEST(TieredEmbeddingStressTest, PromotionDemotionScansAndFaultsRace) {
   std::atomic<uint64_t> served{0};
   std::atomic<uint64_t> faulted{0};
   std::atomic<uint64_t> illegal{0};
+  std::atomic<uint64_t> bad_snapshots{0};
   uint64_t load_faults = 0;
 
   for (int round = 0; round < kRounds; ++round) {
@@ -153,21 +157,39 @@ TEST(TieredEmbeddingStressTest, PromotionDemotionScansAndFaultsRace) {
         }
       });
     }
-    // Budget rebalancing races everything (the store does this on every
-    // registration): the hot limit drops one block per slice of the
-    // round's reads, and regrows in between (which must move nothing).
+    // Copies and snapshots race the demotion: a copied row is legal, and
+    // a snapshot holds either every seeded block, exact, or none.
     threads.emplace_back([&] {
-      Rng local(301 + round);
-      for (size_t limit = kSeedBlocks; limit-- > 0;) {
-        const uint64_t due =
-            (kSeedBlocks - limit) * kRoundReads / (kSeedBlocks + 1);
-        while (!stop.load(std::memory_order_relaxed) &&
-               reads.load(std::memory_order_relaxed) < due) {
-          table->tier()->SetHotLimit(limit + 1 + local.Uniform(4));
-          std::this_thread::yield();
+      Rng local(400 + round);
+      std::vector<float> out(kDim);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const size_t row = local.Uniform(kRows);
+        table->CopyRow(row, out.data());
+        if (!legal(row, out.data())) illegal.fetch_add(1);
+        const auto hot = table->tier()->HotBlocksSnapshot();
+        if (!hot.empty() && hot.size() != kSeedBlocks) {
+          bad_snapshots.fetch_add(1);
         }
-        table->tier()->SetHotLimit(limit);
+        for (size_t b = 0; b < hot.size(); ++b) {
+          if (hot[b].first != b || hot[b].second.size() != kBlockRows * kDim ||
+              std::memcmp(hot[b].second.data(),
+                          data.data() + b * kBlockRows * kDim,
+                          kBlockRows * kDim * sizeof(float)) != 0) {
+            bad_snapshots.fetch_add(1);
+          }
+        }
       }
+    });
+    // The store demotes a superseded version on registration: here the
+    // whole prefix drops once, at a point of the round's reads that moves
+    // from round to round.
+    threads.emplace_back([&] {
+      const uint64_t due = (round % 4 + 1) * kRoundReads / 5;
+      while (!stop.load(std::memory_order_relaxed) &&
+             reads.load(std::memory_order_relaxed) < due) {
+        std::this_thread::yield();
+      }
+      table->tier()->DemoteAll();
     });
     // Fault injection flaps underneath the readers.
     threads.emplace_back([&] {
@@ -190,11 +212,10 @@ TEST(TieredEmbeddingStressTest, PromotionDemotionScansAndFaultsRace) {
     FailpointRegistry::Instance().DisarmAll();
 
     // Counters are coherent after the dust settles: every seeded block was
-    // demoted by the flapper, and no read promoted one back.
+    // demoted, and no read promoted one back.
     EmbeddingTierStats stats = table->tier()->stats();
     EXPECT_EQ(stats.total_blocks, kRows / kBlockRows);
     EXPECT_EQ(stats.hot_blocks, 0u);
-    EXPECT_EQ(stats.hot_limit_blocks, 0u);
     EXPECT_EQ(stats.resident_bytes, 0u);
     EXPECT_EQ(stats.promotions, 0u);
     EXPECT_EQ(stats.demotions, kSeedBlocks);
@@ -205,6 +226,8 @@ TEST(TieredEmbeddingStressTest, PromotionDemotionScansAndFaultsRace) {
 
   EXPECT_EQ(illegal.load(), 0u)
       << "a row was served that is neither exact nor dequantized";
+  EXPECT_EQ(bad_snapshots.load(), 0u)
+      << "a snapshot was neither the seeded prefix nor empty";
   EXPECT_GT(served.load(), 0u);
   if (faulted.load() > 0) {
     EXPECT_GT(load_faults, 0u);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -51,18 +53,12 @@ class TieredEmbeddingTest : public ::testing::Test {
   }
 
   EmbeddingTierOptions TierOptions(size_t budget_bytes, int bits = 8,
-                                   size_t block_rows = 64,
-                                   bool readahead = false) {
+                                   size_t block_rows = 64) {
     EmbeddingTierOptions options;
     options.memory_budget_bytes = budget_bytes;
     options.bits = bits;
     options.block_rows = block_rows;
     options.dir = dir_;
-    if (readahead) {
-      options.readahead.enabled = true;
-      options.readahead.threads = 2;
-      options.readahead.max_in_flight = 4;
-    }
     return options;
   }
 
@@ -116,7 +112,7 @@ TEST_F(TieredEmbeddingTest, AllHotTableKeepsExactGetContracts) {
   const size_t n = 200, dim = 6;
   auto source = ResidentTable("emb", n, dim);
   // block_rows divides n so the budget covers every block exactly — a
-  // partial trailing block would stay cold and rotate the seeds out.
+  // partial trailing block would stay cold.
   auto tiered = EmbeddingTable::CreateTiered(
                     *source, TierOptions(n * dim * sizeof(float), 8, 50))
                     .value();
@@ -160,7 +156,7 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
                     .value();
   const EmbeddingTier* tier = tiered->tier();
   EXPECT_EQ(tier->stats().hot_blocks, 1u);
-  EXPECT_EQ(tier->stats().hot_limit_blocks, 1u);
+  EXPECT_EQ(tier->hot_blocks(), 1u);
 
   // Hot hit in the seeded block 0.
   ASSERT_TRUE(tiered->Get("k0").ok());
@@ -190,22 +186,23 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   // The seeded row is still exact.
   EXPECT_TRUE(BitEqual(tiered->Get("k0").value(), source->row(0), dim));
 
-  // Only SetHotLimit changes the hot set: shrinking demotes block 0, and
-  // its rows serve the codec's floats from here on.
-  tier->SetHotLimit(0);
+  // Only DemoteAll changes the hot set: it drops block 0, and its rows
+  // serve the codec's floats from here on.
+  tier->DemoteAll();
   stats = tier->stats();
   EXPECT_EQ(stats.demotions, 1u);
   EXPECT_EQ(stats.hot_blocks, 0u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
   EXPECT_EQ(stats.promotions, 0u);
   EXPECT_TRUE(BitEqual(tiered->Get("k0").value(),
                        CodecRow(*source, 8, 0).data(), dim));
 
-  // Growing the limit back promotes nothing, even for rows read since.
-  tier->SetHotLimit(1);
+  // Reads after the demotion bring nothing back, and demoting an empty
+  // prefix counts nothing.
   ASSERT_TRUE(tiered->Get("k0").ok());
+  tier->DemoteAll();
   stats = tier->stats();
   EXPECT_EQ(stats.hot_blocks, 0u);
-  EXPECT_EQ(stats.hot_limit_blocks, 1u);
   EXPECT_EQ(stats.promotions, 0u);
   EXPECT_EQ(stats.demotions, 1u);
 }
@@ -242,16 +239,6 @@ TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
       EXPECT_TRUE(BitEqual(rows[10 + i], source->row(i), dim));
     }
   }
-  // The batch refreshed block 0's stamp, so shrinking the hot set to one
-  // block demotes the stale seed, block 1.
-  tiered->tier()->SetHotLimit(1);
-  EmbeddingTierStats stats = tiered->tier()->stats();
-  EXPECT_EQ(stats.demotions, 1u);
-  EXPECT_EQ(stats.hot_blocks, 1u);
-  EXPECT_EQ(stats.promotions, 0u);
-  EXPECT_TRUE(BitEqual(tiered->Get("k1").value(), source->row(1), dim));
-  EXPECT_TRUE(BitEqual(tiered->Get("k64").value(),
-                       CodecRow(*source, 8, 64).data(), dim));
 }
 
 TEST_F(TieredEmbeddingTest, SeededRowsStayExactUnderColdReads) {
@@ -322,6 +309,126 @@ TEST_F(TieredEmbeddingTest, ScansRefreshButNeverPromote) {
     tiered->CopyRow(i, expect.data());
     EXPECT_TRUE(BitEqual(scanned.data() + i * dim, expect.data(), dim)) << i;
   }
+}
+
+/// Every row of `source` as the packed codec serves it.
+std::vector<float> CodecRows(const EmbeddingTable& source, int bits) {
+  PackedCodes packed = PackUniform(source.raw().data(), source.size(),
+                                   source.dim(), bits)
+                           .value();
+  PackedDecodeTables tables = MakeDecodeTables(bits, packed.lo, packed.hi);
+  std::vector<float> out(source.size() * source.dim());
+  DequantizeRange(ViewOf(packed, tables), 0, source.size(), out.data());
+  return out;
+}
+
+TEST_F(TieredEmbeddingTest, RowPointersSurviveDemoteAllUntilNextRead) {
+  const size_t n = 256, dim = 8, block_rows = 64;  // 4 blocks, 2 hot.
+  auto source = ResidentTable("emb", n, dim);
+  auto tiered = EmbeddingTable::CreateTiered(
+                    *source,
+                    TierOptions(2 * block_rows * dim * sizeof(float), 8,
+                                block_rows))
+                    .value();
+  const EmbeddingTier* tier = tiered->tier();
+  const std::vector<float> codec = CodecRows(*source, 8);
+
+  // A hot row and a cold row, read on this thread.
+  const std::vector<int64_t> ids = {5, 200};
+  std::vector<const float*> rows;
+  ASSERT_TRUE(tier->MultiGetRows(ids, &rows).ok());
+  // Another thread drops the whole hot prefix.
+  std::thread([tier] { tier->DemoteAll(); }).join();
+  EXPECT_EQ(tier->stats().hot_blocks, 0u);
+  EXPECT_EQ(tier->stats().demotions, 2u);
+  // Same-size allocations that would likely reuse the prefix had the
+  // demotion freed it (ASan reports the read below in that case).
+  std::vector<std::vector<float>> fills;
+  for (int i = 0; i < 4; ++i) fills.emplace_back(2 * block_rows * dim, -1.0f);
+  // The pointers keep their exact bytes until this thread reads again.
+  EXPECT_TRUE(BitEqual(rows[0], source->row(5), dim));
+  EXPECT_TRUE(BitEqual(rows[1], codec.data() + 200 * dim, dim));
+
+  // From the next read on, every row serves the codec's floats.
+  EXPECT_TRUE(BitEqual(tiered->Get("k5").value(), codec.data() + 5 * dim,
+                       dim));
+  std::vector<float> got(dim);
+  for (size_t i = 0; i < n; ++i) {
+    tiered->CopyRow(i, got.data());
+    EXPECT_TRUE(BitEqual(got.data(), codec.data() + i * dim, dim)) << i;
+  }
+  EXPECT_TRUE(tier->HotBlocksSnapshot().empty());
+}
+
+TEST_F(TieredEmbeddingTest, HotBlocksSnapshotSplitsPrefixInOrder) {
+  // Blocks of 64, 64, 64 and 8 rows; the budget holds all four (the short
+  // last block is charged as a whole one).
+  const size_t n = 200, dim = 4, block_rows = 64;
+  auto source = ResidentTable("emb", n, dim);
+  const EmbeddingTierOptions options =
+      TierOptions(4 * block_rows * dim * sizeof(float), 8, block_rows);
+  auto tiered = EmbeddingTable::CreateTiered(*source, options).value();
+  const auto hot = tiered->tier()->HotBlocksSnapshot();
+  ASSERT_EQ(hot.size(), 4u);
+  for (size_t b = 0; b < hot.size(); ++b) {
+    const size_t rows = std::min(block_rows, n - b * block_rows);
+    EXPECT_EQ(hot[b].first, b);
+    ASSERT_EQ(hot[b].second.size(), rows * dim);
+    EXPECT_TRUE(BitEqual(hot[b].second.data(), source->row(b * block_rows),
+                         rows * dim))
+        << b;
+  }
+  EXPECT_EQ(tiered->tier()->stats().resident_bytes, n * dim * sizeof(float));
+
+  // The split restores to the same prefix, serving the same bytes.
+  auto restored =
+      EmbeddingTier::Restore(
+          PackUniform(source->raw().data(), n, dim, 8).value(), hot, options)
+          .value();
+  EXPECT_EQ(restored->hot_blocks(), 4u);
+  EXPECT_EQ(restored->HotBlocksSnapshot(), hot);
+  std::vector<float> got(dim);
+  for (size_t i = 0; i < n; ++i) {
+    restored->CopyRow(i, got.data());
+    EXPECT_TRUE(BitEqual(got.data(), source->row(i), dim)) << i;
+  }
+}
+
+TEST_F(TieredEmbeddingTest, RestoreRejectsHotBlocksThatAreNotAPrefix) {
+  const size_t n = 256, dim = 4, block_rows = 64;  // 4 blocks.
+  auto source = ResidentTable("emb", n, dim);
+  const PackedCodes packed =
+      PackUniform(source->raw().data(), n, dim, 8).value();
+  using HotBlocks = std::vector<std::pair<uint32_t, std::vector<float>>>;
+  auto block = [&](uint32_t b) {
+    const float* rows = source->row(b * block_rows);
+    return std::make_pair(b,
+                          std::vector<float>(rows, rows + block_rows * dim));
+  };
+  const size_t two_blocks = 2 * block_rows * dim * sizeof(float);
+  auto restore = [&](HotBlocks hot, size_t budget) {
+    return EmbeddingTier::Restore(packed, std::move(hot),
+                                  TierOptions(budget, 8, block_rows))
+        .status();
+  };
+
+  // Blocks 0..h-1 within the budget restore.
+  EXPECT_TRUE(restore({block(0), block(1)}, two_blocks).ok());
+  EXPECT_TRUE(restore({block(0)}, two_blocks).ok());
+  EXPECT_TRUE(restore({}, 0).ok());
+  // Any other shape is Corruption.
+  for (const HotBlocks& hot :
+       {HotBlocks{block(1)}, HotBlocks{block(0), block(2)},
+        HotBlocks{block(1), block(0)}, HotBlocks{block(0), block(0)}}) {
+    EXPECT_EQ(restore(hot, two_blocks).code(), StatusCode::kCorruption);
+  }
+  HotBlocks short_block = {block(0)};
+  short_block[0].second.pop_back();
+  EXPECT_EQ(restore(short_block, two_blocks).code(), StatusCode::kCorruption);
+  // More blocks than the budget holds.
+  EXPECT_EQ(restore({block(0), block(1), block(2)}, two_blocks).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(restore({block(0)}, 0).code(), StatusCode::kCorruption);
 }
 
 TEST_F(TieredEmbeddingTest, CreateRejectsOverflowingDim) {
@@ -406,7 +513,7 @@ TEST_F(TieredEmbeddingTest, SupersededVersionsGoFullyCold) {
   // budget and stays resident.
   auto v1 = store.GetVersion("emb", 1).value();
   ASSERT_TRUE(v1->tiered());
-  EXPECT_EQ(v1->tier()->hot_limit_blocks(), 0u);
+  EXPECT_EQ(v1->tier()->hot_blocks(), 0u);
   EXPECT_EQ(v1->tier()->stats().hot_blocks, 0u);
   EXPECT_FALSE(store.GetVersion("emb", 2).value()->tiered());
 
@@ -434,7 +541,7 @@ TEST_F(TieredEmbeddingTest, SupersededBitsDemoteHistoryToCoarserPacking) {
   auto v1 = store.GetVersion("emb", 1).value();
   ASSERT_TRUE(v1->tiered());
   EXPECT_EQ(v1->tier()->bits(), 4);
-  EXPECT_EQ(v1->tier()->hot_limit_blocks(), 0u);
+  EXPECT_EQ(v1->tier()->hot_blocks(), 0u);
   EXPECT_FALSE(store.GetVersion("emb", 2).value()->tiered());
   // Coarser codes still serve every row.
   for (size_t i = 0; i < n; i += 17) {
@@ -452,11 +559,8 @@ TEST_F(TieredEmbeddingTest, TieredBruteMatchesResidentBruteBitwise) {
   const size_t n = 500, dim = 12, block_rows = 64;
   auto source = ResidentTable("emb", n, dim);
   const size_t budget = 3 * block_rows * dim * sizeof(float);  // 3/8 hot.
-  // Readahead must be invisible to results: identical output whether cold
-  // blocks are prefetched asynchronously or dequantized inline.
-  for (bool readahead : {false, true}) {
   auto tiered = EmbeddingTable::CreateTiered(
-                    *source, TierOptions(budget, 8, block_rows, readahead))
+                    *source, TierOptions(budget, 8, block_rows))
                     .value();
   // The reference: a resident brute-force index over the *served* values.
   auto served = tiered->Materialize().value();
@@ -489,13 +593,6 @@ TEST_F(TieredEmbeddingTest, TieredBruteMatchesResidentBruteBitwise) {
     }
     // Searching must not have grown the hot set (scan resistance).
     EXPECT_EQ(tiered->tier()->stats().hot_blocks, 3u);
-  }
-  if (readahead) {
-    const ReadaheadStats ra = tiered->tier()->stats().readahead;
-    EXPECT_GE(ra.issued, 1u);
-    EXPECT_EQ(ra.issued, ra.completed);
-    EXPECT_EQ(ra.in_flight, 0u);
-  }
   }
 }
 
@@ -540,10 +637,6 @@ TEST_F(TieredEmbeddingTest, FeatureStoreDifferentialAllHotVsHalfCold) {
   half_cold.embedding_tiering.bits = 16;
   half_cold.embedding_tiering.block_rows = 16;
   half_cold.embedding_tiering.spill_dir = dir_;
-  // Cold blocks are prefetched asynchronously; served values must not
-  // change (every assertion below compares against the resident store).
-  half_cold.embedding_tiering.readahead.enabled = true;
-  half_cold.embedding_tiering.readahead.threads = 2;
   FeatureStore tiered_store(half_cold);
   ASSERT_TRUE(tiered_store.RegisterEmbedding(table).ok());
   ASSERT_TRUE(
@@ -601,14 +694,12 @@ TEST_F(TieredEmbeddingTest, FeatureStoreDifferentialAllHotVsHalfCold) {
   auto expect0 = tiered_store.GetEmbedding("emb", table->key(0)).value();
   EXPECT_EQ(v0, expect0);
 
-  // The serving layer surfaces the tier + readahead I/O counters: an
-  // operator reading server stats sees the cold path behind requests.
-  FeatureServerStats server_stats = tiered_store.server().stats();
-  EXPECT_EQ(server_stats.embedding_tiers.tiered_tables, 1u);
-  EXPECT_GE(server_stats.embedding_tiers.tier.scans, stats.tier.scans);
-  const ReadaheadStats& ra = server_stats.embedding_tiers.tier.readahead;
-  EXPECT_EQ(ra.in_flight, 0u);
-  EXPECT_EQ(ra.issued, ra.completed + ra.in_flight);
+  // The store's tier counters see the cold path behind serving: the
+  // batch above hydrated a cold row.
+  const EmbeddingStoreTierStats served =
+      tiered_store.embeddings().TierStats();
+  EXPECT_EQ(served.tiered_tables, 1u);
+  EXPECT_GT(served.tier.cold_misses, stats.tier.cold_misses);
 }
 
 TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
@@ -624,14 +715,11 @@ TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
   FeatureStore store(options);
   ASSERT_TRUE(store.RegisterEmbedding(table).ok());
 
-  // Make the snapshot's hot set differ from the seed layout (restore must
-  // reproduce the *current* hot set): the budget seeds blocks 0-3; a read
-  // refreshes block 0, so shrinking to two blocks demotes blocks 1 and 2.
+  // The budget makes blocks 0-3 the hot prefix; restore must reproduce
+  // it (reads never change it).
   const EmbeddingTier* tier =
       store.embeddings().GetLatest("emb").value()->tier();
-  ASSERT_EQ(tier->stats().hot_blocks, 4u);
-  ASSERT_TRUE(store.GetEmbedding("emb", table->key(0)).ok());
-  tier->SetHotLimit(2);
+  ASSERT_TRUE(store.GetEmbedding("emb", table->key(200)).ok());
   auto hot_ids = [](const EmbeddingTier& t) {
     std::vector<uint32_t> ids;
     for (const auto& [block, rows] : t.HotBlocksSnapshot()) {
@@ -639,7 +727,7 @@ TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
     }
     return ids;
   };
-  ASSERT_EQ(hot_ids(*tier), (std::vector<uint32_t>{0, 3}));
+  ASSERT_EQ(hot_ids(*tier), (std::vector<uint32_t>{0, 1, 2, 3}));
 
   std::vector<std::vector<float>> before;
   for (size_t i = 0; i < n; ++i) {
@@ -658,7 +746,8 @@ TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
   ASSERT_TRUE(restored.RestoreCheckpoint(ckpt).ok());
   auto restored_table = restored.embeddings().GetLatest("emb").value();
   ASSERT_TRUE(restored_table->tiered());
-  EXPECT_EQ(hot_ids(*restored_table->tier()), (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(hot_ids(*restored_table->tier()),
+            (std::vector<uint32_t>{0, 1, 2, 3}));
 
   for (size_t i = 0; i < n; ++i) {
     auto got = restored.GetEmbedding("emb", table->key(i)).value();
