@@ -12,8 +12,8 @@
 //   tier 2  spilled  everything sealed, segments memory-mapped from disk
 //
 // BM_AsOfBatchColdRead reads tables spilled past a 10/25/50% memory
-// budget, with spilled-segment readahead off or on (ra), warm or with the
-// spill files' pages dropped before each iteration (cold).
+// budget, warm or with the spill files' pages dropped before each
+// iteration (cold).
 //
 // The write path has its own two cases over an events-like schema (string
 // entity key, timestamp, two doubles, an int, a small-category string):
@@ -71,7 +71,7 @@ struct ScanFixture {
   std::vector<AsOfRequest> requests;
   std::vector<Row> rows;  // Kept for the lazily-built cold-read tables.
   std::string spill_dir;
-  std::map<int64_t, OfflineTable*> cold_tables;  // (budget_pct << 1) | ra.
+  std::map<int64_t, OfflineTable*> cold_tables;  // By budget_pct.
 
   ScanFixture() {
     schema = WideSchema();
@@ -141,18 +141,14 @@ struct ScanFixture {
   }
 
   /// A table with `budget_pct`% of the sealed tier's resident bytes as
-  /// its memory budget (the rest spills) and readahead on or off — the
-  /// cold-read regime where async prefetch should pay. Built lazily, one
-  /// per (budget, ra) combination.
-  OfflineTable* ColdTable(int64_t budget_pct, int64_t ra) {
-    const int64_t key = (budget_pct << 1) | ra;
-    auto it = cold_tables.find(key);
+  /// its memory budget (the rest spills). Built lazily, one per budget.
+  OfflineTable* ColdTable(int64_t budget_pct) {
+    auto it = cold_tables.find(budget_pct);
     if (it != cold_tables.end()) return it->second;
     const size_t sealed_bytes =
         tables[kSealedTier]->storage_stats().resident_segment_bytes;
     OfflineTableOptions options;
-    options.name = "events_cold_" + std::to_string(budget_pct) +
-                   (ra != 0 ? "_ra" : "");
+    options.name = "events_cold_" + std::to_string(budget_pct);
     options.schema = schema;
     options.entity_column = "entity";
     options.time_column = "event_time";
@@ -160,8 +156,6 @@ struct ScanFixture {
     options.memory_budget_bytes =
         sealed_bytes * static_cast<size_t>(budget_pct) / 100;
     options.spill_dir = spill_dir;
-    options.readahead.enabled = ra != 0;
-    options.readahead.max_in_flight = 4;
     MLFS_CHECK_OK(store.CreateTable(options));
     OfflineTable* table = store.GetTable(options.name).value();
     MLFS_CHECK_OK(table->AppendBatch(rows));
@@ -169,7 +163,7 @@ struct ScanFixture {
     MLFS_CHECK_OK(table->CompactPartitions());
     MLFS_CHECK_OK(table->EnforceMemoryBudget());
     MLFS_CHECK(table->storage_stats().spilled_segments > 0);
-    cold_tables[key] = table;
+    cold_tables[budget_pct] = table;
     return table;
   }
 };
@@ -261,15 +255,13 @@ BENCHMARK(BM_AsOfBatchProjected)
     ->Unit(benchmark::kMillisecond);
 
 // The cold-read regime: most of the table lives in spilled segments and a
-// key-sorted batch walks several of them. With readahead on, the next
-// spilled segment's pages are faulted in on a worker thread while the
-// gather cursor drains the current one. With cold:1 the spill files'
+// key-sorted batch walks several of them. With cold:1 the spill files'
 // pages are dropped before each iteration (cold_cache.h), so every
 // spilled byte the batch reads comes from the file system again.
 void BM_AsOfBatchColdRead(benchmark::State& state) {
   auto& fixture = Fixture();
-  OfflineTable* table = fixture.ColdTable(state.range(0), state.range(1));
-  const bool cold = state.range(2) != 0;
+  OfflineTable* table = fixture.ColdTable(state.range(0));
+  const bool cold = state.range(1) != 0;
   const std::string spill_prefix =
       fixture.spill_dir + "/" + table->options().name + "_p";
   size_t resident_pages = 0;
@@ -287,20 +279,15 @@ void BM_AsOfBatchColdRead(benchmark::State& state) {
     benchmark::DoNotOptimize(results);
   }
   state.SetItemsProcessed(state.iterations() * fixture.requests.size());
-  const ReadaheadStats ra = table->storage_stats().readahead;
-  state.counters["ra_issued"] = static_cast<double>(ra.issued);
-  state.counters["ra_hits"] = static_cast<double>(ra.hits);
-  state.counters["ra_wasted"] = static_cast<double>(ra.wasted);
   if (cold) {
     // Spill pages still resident after the last drop (0 expected).
     state.counters["resident_pages"] = static_cast<double>(resident_pages);
   }
 }
-// Real time: the readahead worker faults pages in off the calling thread,
-// and a cold read waits on page-ins, neither of which is its CPU time.
+// Real time: a cold read waits on page-ins, which is not its CPU time.
 BENCHMARK(BM_AsOfBatchColdRead)
-    ->ArgNames({"budget_pct", "ra", "cold"})
-    ->ArgsProduct({{10, 25, 50}, {0, 1}, {0, 1}})
+    ->ArgNames({"budget_pct", "cold"})
+    ->ArgsProduct({{10, 25, 50}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -11,9 +11,10 @@
 
 namespace mlfs {
 
-/// Fixed-size worker pool used for parallel embedding training and batch
-/// materialization. Tasks are plain std::function<void()>; use
-/// `ParallelFor` for the common data-parallel case.
+/// Fixed-size worker pool. Its one user in the library is the
+/// point-in-time join, which starts a pool for the call when
+/// JoinOptions::max_threads > 1. Tasks are plain std::function<void()>;
+/// use `ParallelFor` for the common data-parallel case.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (>= 1).

@@ -17,15 +17,12 @@ StatusOr<AlignmentResult> AlignToReference(
   // Procrustes wants stable whole-matrix access (and holds Get pointers
   // across further lookups, which the tiered pin contract forbids).
   if (source.tiered() || reference.tiered()) {
-    EmbeddingTablePtr rs, rr;
-    if (source.tiered()) {
-      MLFS_ASSIGN_OR_RETURN(rs, source.Materialize());
-    }
-    if (reference.tiered()) {
-      MLFS_ASSIGN_OR_RETURN(rr, reference.Materialize());
-    }
-    return AlignToReference(rs ? *rs : source, rr ? *rr : reference,
-                            anchor_keys);
+    EmbeddingTablePtr copy_s, copy_r;
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* rs,
+                          AsResident(source, &copy_s));
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* rr,
+                          AsResident(reference, &copy_r));
+    return AlignToReference(*rs, *rr, anchor_keys);
   }
   const size_t d = source.dim();
 

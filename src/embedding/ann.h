@@ -10,8 +10,6 @@
 
 namespace mlfs {
 
-class ThreadPool;
-
 /// One nearest-neighbor hit.
 struct Neighbor {
   float distance = 0.0f;  // Under the index metric (smaller = closer).
@@ -41,12 +39,9 @@ class AnnIndex {
   /// what Search(queries + i * dim, k) returns. The base implementation
   /// loops Search; indexes override it to amortize per-query costs
   /// (brute force: blocked scans that reuse each data block across the
-  /// whole batch; HNSW: a reusable epoch-stamped visited pool). When
-  /// `pool` is non-null, implementations may fan queries out across it;
-  /// results are ordered by query either way. Thread-safe after Build.
+  /// whole batch). Runs on the calling thread. Thread-safe after Build.
   virtual StatusOr<std::vector<std::vector<Neighbor>>> BatchSearch(
-      const float* queries, size_t nq, size_t k,
-      ThreadPool* pool = nullptr) const;
+      const float* queries, size_t nq, size_t k) const;
 
   virtual std::string name() const = 0;
   virtual Metric metric() const = 0;

@@ -2,7 +2,6 @@
 #include <cmath>
 #include <queue>
 
-#include "common/threadpool.h"
 #include "embedding/ann.h"
 
 namespace mlfs {
@@ -72,11 +71,9 @@ class BruteForceIndex final : public AnnIndex {
   /// Query-tiled blocked scan: the row-major buffer is read once per tile
   /// of queries (not once per query), so each cache-resident data block is
   /// reused across the whole tile — the batch-1 scan is memory-bound at
-  /// embedding scale, the tiled scan is compute-bound. With `pool`, tiles
-  /// fan out across workers (each tile touches disjoint output slots).
+  /// embedding scale, the tiled scan is compute-bound.
   StatusOr<std::vector<std::vector<Neighbor>>> BatchSearch(
-      const float* queries, size_t nq, size_t k,
-      ThreadPool* pool) const override {
+      const float* queries, size_t nq, size_t k) const override {
     if (data_ == nullptr) {
       return Status::FailedPrecondition("index not built");
     }
@@ -85,9 +82,7 @@ class BruteForceIndex final : public AnnIndex {
     }
     k = std::min(k, n_);
     std::vector<std::vector<Neighbor>> out(nq);
-    const size_t num_tiles = (nq + kQueryTile - 1) / kQueryTile;
-    auto scan_tile = [&](size_t tile) {
-      const size_t q0 = tile * kQueryTile;
+    for (size_t q0 = 0; q0 < nq; q0 += kQueryTile) {
       const size_t q1 = std::min(q0 + kQueryTile, nq);
       const size_t tile_size = q1 - q0;
       BestHeap heaps[kQueryTile];
@@ -130,11 +125,6 @@ class BruteForceIndex final : public AnnIndex {
       for (size_t q = 0; q < tile_size; ++q) {
         out[q0 + q] = DrainHeap(&heaps[q]);
       }
-    };
-    if (pool != nullptr && num_tiles > 1) {
-      ParallelFor(pool, 0, num_tiles, scan_tile);
-    } else {
-      for (size_t tile = 0; tile < num_tiles; ++tile) scan_tile(tile);
     }
     return out;
   }
@@ -160,7 +150,7 @@ class BruteForceIndex final : public AnnIndex {
 }  // namespace
 
 StatusOr<std::vector<std::vector<Neighbor>>> AnnIndex::BatchSearch(
-    const float* queries, size_t nq, size_t k, ThreadPool* pool) const {
+    const float* queries, size_t nq, size_t k) const {
   if ((queries == nullptr && nq > 0) || k == 0) {
     return Status::InvalidArgument("bad query batch");
   }
@@ -169,21 +159,8 @@ StatusOr<std::vector<std::vector<Neighbor>>> AnnIndex::BatchSearch(
     return Status::FailedPrecondition("index not built");
   }
   std::vector<std::vector<Neighbor>> out(nq);
-  auto search_one = [&](size_t i) -> Status {
+  for (size_t i = 0; i < nq; ++i) {
     MLFS_ASSIGN_OR_RETURN(out[i], Search(queries + i * stride, k));
-    return Status::OK();
-  };
-  if (pool != nullptr && nq > 1) {
-    std::vector<Status> statuses(nq);
-    ParallelFor(pool, 0, nq,
-                [&](size_t i) { statuses[i] = search_one(i); });
-    for (Status& s : statuses) {
-      if (!s.ok()) return s;
-    }
-  } else {
-    for (size_t i = 0; i < nq; ++i) {
-      MLFS_RETURN_IF_ERROR(search_one(i));
-    }
   }
   return out;
 }

@@ -27,15 +27,10 @@ StatusOr<EmbeddingDriftReport> CheckEmbeddingDrift(
   // Drift math wants whole-matrix access; tiered versions are compared at
   // their served (dequantized-where-cold) values.
   if (a.tiered() || b.tiered()) {
-    EmbeddingTablePtr ra, rb;
-    if (a.tiered()) {
-      MLFS_ASSIGN_OR_RETURN(ra, a.Materialize());
-    }
-    if (b.tiered()) {
-      MLFS_ASSIGN_OR_RETURN(rb, b.Materialize());
-    }
-    return CheckEmbeddingDrift(ra ? *ra : a, rb ? *rb : b, k, max_keys,
-                               thresholds);
+    EmbeddingTablePtr copy_a, copy_b;
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* ra, AsResident(a, &copy_a));
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* rb, AsResident(b, &copy_b));
+    return CheckEmbeddingDrift(*ra, *rb, k, max_keys, thresholds);
   }
   EmbeddingDriftReport report;
 

@@ -188,9 +188,11 @@ StatusOr<EmbeddingTablePtr> EmbeddingTable::WithVectors(
   return Create(std::move(metadata), keys_, std::move(vectors), dim);
 }
 
-StatusOr<EmbeddingTablePtr> MaterializeResident(EmbeddingTablePtr table) {
-  if (table == nullptr || !table->tiered()) return table;
-  return table->Materialize();
+StatusOr<const EmbeddingTable*> AsResident(const EmbeddingTable& table,
+                                           EmbeddingTablePtr* copy) {
+  if (!table.tiered()) return &table;
+  MLFS_ASSIGN_OR_RETURN(*copy, table.Materialize());
+  return copy->get();
 }
 
 }  // namespace mlfs

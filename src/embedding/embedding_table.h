@@ -165,8 +165,12 @@ class EmbeddingTable {
 
 using EmbeddingTablePtr = std::shared_ptr<const EmbeddingTable>;
 
-/// `table` itself when already resident, else table->Materialize().
-StatusOr<EmbeddingTablePtr> MaterializeResident(EmbeddingTablePtr table);
+/// `table` itself when resident; else a resident copy of its served values
+/// (dequantized where cold), held by `*copy`. For whole-matrix math and for
+/// code that holds Get pointers across further lookups, which a tiered
+/// table's pointer contract (class comment) forbids.
+StatusOr<const EmbeddingTable*> AsResident(const EmbeddingTable& table,
+                                           EmbeddingTablePtr* copy);
 
 }  // namespace mlfs
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "embedding/ann.h"
 
 namespace mlfs {
@@ -89,30 +88,6 @@ class HnswIndex final : public AnnIndex {
       return Status::InvalidArgument("bad query");
     }
     return SearchWithPool(query, k, &LocalPool());
-  }
-
-  /// Batched search: one visited pool per worker (thread-local), queries
-  /// fanned out over `pool` when provided. Results are identical to the
-  /// per-query loop — the pool only changes bookkeeping, not traversal.
-  StatusOr<std::vector<std::vector<Neighbor>>> BatchSearch(
-      const float* queries, size_t nq, size_t k,
-      ThreadPool* pool) const override {
-    if (data_ == nullptr) {
-      return Status::FailedPrecondition("index not built");
-    }
-    if ((queries == nullptr && nq > 0) || k == 0) {
-      return Status::InvalidArgument("bad query batch");
-    }
-    std::vector<std::vector<Neighbor>> out(nq);
-    auto search_one = [&](size_t i) {
-      out[i] = SearchWithPool(queries + i * dim_, k, &LocalPool());
-    };
-    if (pool != nullptr && nq > 1) {
-      ParallelFor(pool, 0, nq, search_one);
-    } else {
-      for (size_t i = 0; i < nq; ++i) search_one(i);
-    }
-    return out;
   }
 
   std::string name() const override {

@@ -50,6 +50,14 @@ StatusOr<NeighborStabilityReport> NeighborStability(const EmbeddingTable& a,
                                                     size_t k,
                                                     size_t max_keys) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
+  // TopKWithin holds one Get pointer across the others, which the tiered
+  // pointer contract forbids: compare resident forms.
+  if (a.tiered() || b.tiered()) {
+    EmbeddingTablePtr copy_a, copy_b;
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* ra, AsResident(a, &copy_a));
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* rb, AsResident(b, &copy_b));
+    return NeighborStability(*ra, *rb, k, max_keys);
+  }
   std::vector<std::string> universe = CommonKeys(a, b);
   if (universe.size() < k + 1) {
     return Status::InvalidArgument(
@@ -78,6 +86,14 @@ StatusOr<NeighborStabilityReport> NeighborStability(const EmbeddingTable& a,
 
 StatusOr<double> EigenspaceOverlapScore(const EmbeddingTable& a,
                                         const EmbeddingTable& b) {
+  // The stacking loop holds a's Get pointer across b's: see
+  // NeighborStability.
+  if (a.tiered() || b.tiered()) {
+    EmbeddingTablePtr copy_a, copy_b;
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* ra, AsResident(a, &copy_a));
+    MLFS_ASSIGN_OR_RETURN(const EmbeddingTable* rb, AsResident(b, &copy_b));
+    return EigenspaceOverlapScore(*ra, *rb);
+  }
   std::vector<std::string> universe = CommonKeys(a, b);
   const size_t n = universe.size();
   if (n == 0) {

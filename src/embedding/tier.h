@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "embedding/compress.h"
 #include "io/block_file.h"
-#include "io/readahead.h"
 
 namespace mlfs {
 

@@ -2,7 +2,6 @@
 #include <cmath>
 #include <queue>
 
-#include "common/threadpool.h"
 #include "embedding/ann.h"
 #include "embedding/embedding_table.h"
 #include "embedding/tier.h"
@@ -80,12 +79,11 @@ class TieredBruteForceIndex final : public AnnIndex {
   }
 
   /// One streaming pass over the tier per batch (cold blocks dequantize
-  /// once for all queries, not once per query tile); within each block,
-  /// query tiles fan out across `pool`. Per-query scan order stays
+  /// once for all queries, not once per query tile); every query scans
+  /// each block while it is cache-resident. Per-query scan order stays
   /// ascending, so results match the resident blocked scan exactly.
   StatusOr<std::vector<std::vector<Neighbor>>> BatchSearch(
-      const float* queries, size_t nq, size_t k,
-      ThreadPool* pool) const override {
+      const float* queries, size_t nq, size_t k) const override {
     if (!built_) {
       return Status::FailedPrecondition("index not built");
     }
@@ -117,42 +115,32 @@ class TieredBruteForceIndex final : public AnnIndex {
               row_inv_norm[r] = norm == 0 ? 0.0f : 1.0f / norm;
             }
           }
-          const size_t num_tiles = (nq + kQueryTile - 1) / kQueryTile;
-          auto scan_tile = [&](size_t tile) {
-            const size_t q0 = tile * kQueryTile;
-            const size_t q1 = std::min(q0 + kQueryTile, nq);
-            for (size_t q = q0; q < q1; ++q) {
-              const float* query = queries + q * dim;
-              BestHeap& heap = heaps[q];
-              for (size_t r = 0; r < nrows; ++r) {
-                const float* row = rows + r * dim;
-                float d = 0.0f;
-                switch (metric_) {
-                  case Metric::kL2:
-                    d = L2Squared(query, row, dim);
-                    break;
-                  case Metric::kInnerProduct:
-                    d = -DotProduct(query, row, dim);
-                    break;
-                  case Metric::kCosine:
-                    d = 1.0f - DotProduct(query, row, dim) *
-                                   row_inv_norm[r] * query_inv_norm[q];
-                    break;
-                }
-                const size_t i = row0 + r;
-                if (heap.size() < k) {
-                  heap.emplace(d, i);
-                } else if (d < heap.top().first) {
-                  heap.pop();
-                  heap.emplace(d, i);
-                }
+          for (size_t q = 0; q < nq; ++q) {
+            const float* query = queries + q * dim;
+            BestHeap& heap = heaps[q];
+            for (size_t r = 0; r < nrows; ++r) {
+              const float* row = rows + r * dim;
+              float d = 0.0f;
+              switch (metric_) {
+                case Metric::kL2:
+                  d = L2Squared(query, row, dim);
+                  break;
+                case Metric::kInnerProduct:
+                  d = -DotProduct(query, row, dim);
+                  break;
+                case Metric::kCosine:
+                  d = 1.0f - DotProduct(query, row, dim) *
+                                 row_inv_norm[r] * query_inv_norm[q];
+                  break;
+              }
+              const size_t i = row0 + r;
+              if (heap.size() < k) {
+                heap.emplace(d, i);
+              } else if (d < heap.top().first) {
+                heap.pop();
+                heap.emplace(d, i);
               }
             }
-          };
-          if (pool != nullptr && num_tiles > 1) {
-            ParallelFor(pool, 0, num_tiles, scan_tile);
-          } else {
-            for (size_t tile = 0; tile < num_tiles; ++tile) scan_tile(tile);
           }
         }));
     for (size_t q = 0; q < nq; ++q) out[q] = DrainHeap(&heaps[q]);
@@ -164,8 +152,6 @@ class TieredBruteForceIndex final : public AnnIndex {
   size_t dim() const override { return built_ ? table_->dim() : 0; }
 
  private:
-  static constexpr size_t kQueryTile = 16;
-
   EmbeddingTablePtr table_;
   Metric metric_;
   bool built_ = false;

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
 
@@ -34,11 +33,6 @@ inline void AppendU32(std::string* out, uint32_t v) {
 
 inline void AppendU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), 8);
-}
-
-size_t PageSize() {
-  static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  return page;
 }
 
 }  // namespace
@@ -156,26 +150,6 @@ BlockFile::~BlockFile() {
       std::filesystem::remove(path_, ec);
     }
   }
-}
-
-void BlockFile::AdviseWillNeed(size_t offset, size_t len) const {
-  if (map_ == nullptr || offset >= map_len_) return;
-  len = std::min(len, map_len_ - offset);
-  if (len == 0) return;
-  const size_t page = PageSize();
-  const size_t first = offset / page * page;
-  const size_t span = offset + len - first;
-  ::madvise(static_cast<char*>(map_) + first, span, MADV_WILLNEED);
-}
-
-void BlockFile::TouchPages(size_t offset, size_t len) const {
-  if (map_ == nullptr || offset >= map_len_) return;
-  len = std::min(len, map_len_ - offset);
-  const size_t page = PageSize();
-  const volatile char* base = static_cast<const volatile char*>(map_);
-  char sink = 0;
-  for (size_t p = offset; p < offset + len; p += page) sink ^= base[p];
-  (void)sink;
 }
 
 }  // namespace mlfs

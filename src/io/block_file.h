@@ -14,6 +14,15 @@ namespace mlfs {
 class BlockFile;
 using BlockFilePtr = std::shared_ptr<const BlockFile>;
 
+/// Readahead counters of a spilled tier. The library does not read ahead,
+/// so both always read 0. The struct stays only because the benchmark sums
+/// OfflineStorageStats::readahead and EmbeddingTierStats::readahead into
+/// its io.readahead.* counters (e2ebench/workloads.cc).
+struct ReadaheadStats {
+  uint64_t issued = 0;
+  uint64_t wasted = 0;
+};
+
 /// The one envelope for every byte the store persists:
 ///
 ///   [u32 magic][u32 version][u64 body_len][body][u64 Checksum64(body)]
@@ -101,16 +110,6 @@ class BlockFile {
   bool mapped() const { return map_ != nullptr; }
   const std::string& path() const { return path_; }
   size_t size() const { return data_.size(); }
-
-  /// Hints the kernel to start paging in [offset, offset + len) of the
-  /// whole envelope (madvise WILLNEED). No-op for resident blobs.
-  void AdviseWillNeed(size_t offset, size_t len) const;
-
-  /// Faults in one byte per page of [offset, offset + len) — the
-  /// background-materialization half of readahead, run off the serving
-  /// thread so the gather loop takes no major faults. No-op for resident
-  /// blobs.
-  void TouchPages(size_t offset, size_t len) const;
 
  private:
   BlockFile() = default;

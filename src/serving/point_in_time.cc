@@ -209,11 +209,9 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
 
   // 2. Fan out: sources × entity-range shards of the sorted request array
   //    (shards cut at key boundaries so no entity's run is split).
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.max_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(options.max_threads);
-    pool = local_pool.get();
+  std::unique_ptr<ThreadPool> pool;
+  if (options.max_threads > 1) {
+    pool = std::make_unique<ThreadPool>(options.max_threads);
   }
   std::vector<std::pair<size_t, size_t>> shards;
   {
@@ -235,7 +233,7 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
   // shard boundaries would be shared between tasks otherwise); the shard
   // bitmaps are stitched into one per-source bitmap after the barrier.
   std::vector<std::vector<uint64_t>> task_miss(num_tasks);
-  ParallelFor(pool, 0, num_tasks, [&](size_t task) {
+  ParallelFor(pool.get(), 0, num_tasks, [&](size_t task) {
     const size_t s = task / shards.size();
     const auto [start, stop] = shards[task % shards.size()];
     AsOfReadOptions read_options;
@@ -341,7 +339,7 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
     // into the loop and hoist the per-source invariants.
     for (size_t r = 0; r < n; ++r) assemble(r);
   } else {
-    ParallelFor(pool, 0, n, assemble);
+    ParallelFor(pool.get(), 0, n, assemble);
   }
   out.missing_cells = missing.load(std::memory_order_relaxed);
   return out;

@@ -10,8 +10,6 @@
 
 namespace mlfs {
 
-class ThreadPool;
-
 /// One feature source to join onto the spine.
 struct JoinSource {
   /// Historical table to read from (not owned; must outlive the join).
@@ -39,14 +37,11 @@ struct TrainingSet {
   uint64_t missing_cells = 0;
 };
 
-/// Execution knobs for the batched join engine. Mirrors FeatureServer's
-/// view fan-out: work splits across sources and, within a source, across
-/// entity-range shards of the sorted request array.
+/// Execution knobs for the batched join engine. With max_threads > 1 the
+/// join starts a pool of that many workers for the call and splits the
+/// work across sources and, within a source, across entity-range shards of
+/// the sorted request array; 1 keeps everything on the calling thread.
 struct JoinOptions {
-  /// External worker pool (not owned). Takes precedence over max_threads.
-  ThreadPool* pool = nullptr;
-  /// When `pool` is null and max_threads > 1, the join runs on an internal
-  /// pool of this many workers; 1 keeps everything on the calling thread.
   uint32_t max_threads = 1;
 };
 

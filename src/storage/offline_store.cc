@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <utility>
 
@@ -32,10 +31,7 @@ OfflineTable::OfflineTable(OfflineTableOptions options)
   for (size_t i = 0; i < all_columns_.size(); ++i) {
     all_columns_[i] = static_cast<int>(i);
   }
-  readahead_ = std::make_unique<ReadaheadScheduler>(options_.readahead);
 }
-
-OfflineTable::~OfflineTable() { StopMaintenance(); }
 
 StatusOr<std::unique_ptr<OfflineTable>> OfflineTable::Create(
     OfflineTableOptions options) {
@@ -453,36 +449,6 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
   const bool projected = !options.columns.empty();
   std::vector<const Row*> head_hits(n, nullptr);
   std::vector<Value> values;
-  // Readahead plan: the gather below touches spilled segments in a
-  // deterministic first-touch order, so warm upcoming segments' pages
-  // (madvise + touch, off-thread) while the cursor works the current one.
-  // Keys are segment addresses — stable for the duration of the shared
-  // lock. ra_order[0] is being read immediately, so prefetching starts at
-  // ra_order[1]; one segment is kept in flight ahead of the cursor.
-  std::vector<const Segment*> ra_order;
-  size_t ra_next = 1;
-  auto prefetch = [&](size_t k) {
-    if (k >= ra_order.size()) return;
-    const Segment* next = ra_order[k];
-    readahead_->Prefetch(reinterpret_cast<uintptr_t>(next),
-                         [next]() -> ReadaheadScheduler::Payload {
-                           next->PrefetchSpill();
-                           return nullptr;  // Page warming: nothing to park.
-                         });
-  };
-  if (readahead_->enabled()) {
-    for (i = 0; i < n; ++i) {
-      if (hits[i] == nullptr) continue;
-      RowLoc loc = Resolve(*hits[i]->part, hits[i]->ordinal);
-      if (loc.seg != nullptr && loc.seg->spilled() &&
-          (ra_order.empty() || ra_order.back() != loc.seg) &&
-          std::find(ra_order.begin(), ra_order.end(), loc.seg) ==
-              ra_order.end()) {
-        ra_order.push_back(loc.seg);
-      }
-    }
-    prefetch(1);
-  }
   for (i = 0; i < n; ++i) {
     const GlobalPosting* g = hits[i];
     if (g == nullptr) {
@@ -492,13 +458,6 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
       continue;
     }
     RowLoc loc = Resolve(*g->part, g->ordinal);
-    // First touch of the next planned segment: claim its prefetch (hit
-    // accounting; pages are warm or warming) and start warming the one
-    // after it.
-    if (ra_next < ra_order.size() && loc.seg == ra_order[ra_next]) {
-      readahead_->Consume(reinterpret_cast<uintptr_t>(loc.seg));
-      prefetch(++ra_next);
-    }
     if (loc.head != nullptr && !projected) {
       head_hits[i] = loc.head;
       continue;
@@ -676,7 +635,6 @@ OfflineStorageStats OfflineTable::storage_stats() const {
       maintenance_errors_.load(std::memory_order_relaxed);
   stats.scan_segments_skipped =
       scan_segments_skipped_.load(std::memory_order_relaxed);
-  stats.readahead = readahead_->stats();
   return stats;
 }
 
@@ -835,48 +793,12 @@ Status OfflineTable::EnforceMemoryBudget() {
 
 Status OfflineTable::RunMaintenance() {
   std::lock_guard m(maintenance_mu_);
-  if (options_.seal_rows > 0) {
-    MLFS_RETURN_IF_ERROR(SealHeadsInner(options_.seal_rows));
-  }
-  MLFS_RETURN_IF_ERROR(CompactInner(options_.compact_min_segments));
-  return EnforceBudgetInner();
-}
-
-Status OfflineTable::StartMaintenance(int64_t period_millis) {
-  if (period_millis <= 0) {
-    return Status::InvalidArgument("maintenance period must be positive");
-  }
-  std::lock_guard lock(bg_mu_);
-  if (bg_thread_.joinable()) {
-    return Status::FailedPrecondition("maintenance thread already running");
-  }
-  bg_stop_ = false;
-  bg_thread_ = std::thread([this, period_millis] {
-    std::unique_lock lock(bg_mu_);
-    while (!bg_stop_) {
-      bg_cv_.wait_for(lock, std::chrono::milliseconds(period_millis),
-                      [this] { return bg_stop_; });
-      if (bg_stop_) break;
-      lock.unlock();
-      Status s = RunMaintenance();
-      if (!s.ok()) {
-        maintenance_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      lock.lock();
-    }
-  });
-  return Status::OK();
-}
-
-void OfflineTable::StopMaintenance() {
-  std::thread t;
-  {
-    std::lock_guard lock(bg_mu_);
-    bg_stop_ = true;
-    t = std::move(bg_thread_);
-  }
-  bg_cv_.notify_all();
-  if (t.joinable()) t.join();
+  Status s = options_.seal_rows > 0 ? SealHeadsInner(options_.seal_rows)
+                                    : Status::OK();
+  if (s.ok()) s = CompactInner(options_.compact_min_segments);
+  if (s.ok()) s = EnforceBudgetInner();
+  if (!s.ok()) maintenance_errors_.fetch_add(1, std::memory_order_relaxed);
+  return s;
 }
 
 // --- Snapshots -----------------------------------------------------------

@@ -1,7 +1,7 @@
 #ifndef MLFS_STORAGE_OFFLINE_STORE_H_
 #define MLFS_STORAGE_OFFLINE_STORE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -9,7 +9,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -19,7 +18,7 @@
 #include "common/status.h"
 #include "common/timestamp.h"
 #include "expr/evaluator.h"
-#include "io/readahead.h"
+#include "io/block_file.h"
 #include "storage/segment.h"
 
 namespace mlfs {
@@ -111,11 +110,6 @@ struct OfflineTableOptions {
   /// RunMaintenance() compacts a partition once it accumulates this many
   /// sealed segments (explicit CompactPartitions() compacts at >= 2).
   size_t compact_min_segments = 4;
-  /// Async spilled-segment prefetch for AsOfBatch (io/readahead.h): while
-  /// the gather cursor works one spilled segment, the scheduler faults in
-  /// the next one's pages off-thread. Default-disabled; results are
-  /// byte-identical either way.
-  ReadaheadOptions readahead;
 };
 
 /// Storage-tier counters for one table (see storage_stats()).
@@ -129,13 +123,13 @@ struct OfflineStorageStats {
   size_t resident_segment_bytes = 0;
   /// Encoded bytes of spilled segment files on disk.
   size_t spilled_bytes = 0;
-  /// RunMaintenance() failures observed by the background thread.
+  /// RunMaintenance() calls that returned an error.
   uint64_t maintenance_errors = 0;
   /// Sealed segments that Scan skipped *entirely* because their
   /// [min_ts, max_ts] range was disjoint from the scan window — how much
   /// work the segment-level time index saved.
   uint64_t scan_segments_skipped = 0;
-  /// Spilled-segment prefetch counters (zeros when readahead is off).
+  /// Always zero: the table has no readahead (see ReadaheadStats).
   ReadaheadStats readahead;
 };
 
@@ -151,12 +145,14 @@ struct OfflineStorageStats {
 /// Storage is tiered: each partition is a mutable row-oriented head that
 /// seals into immutable column-major segments (dictionary strings,
 /// delta-packed timestamps, raw fixed-width numerics; checksummed), which
-/// background maintenance compacts and — past the memory budget — spills
-/// to memory-mapped files so backfills larger than RAM work. Rows keep a
-/// stable per-partition ordinal across seal/compact/spill, so the key
-/// directory built at append time never needs rewriting. The never-sealed
-/// configuration (seal_rows = 0) is exactly the legacy all-in-RAM row
-/// engine and serves as the differential-testing oracle.
+/// maintenance compacts and — past the memory budget — spills to
+/// memory-mapped files so backfills larger than RAM work. Maintenance runs
+/// only when a caller calls it (RunMaintenance and the steps below); the
+/// table starts no thread of its own. Rows keep a stable per-partition
+/// ordinal across seal/compact/spill, so the key directory built at append
+/// time never needs rewriting. The never-sealed configuration
+/// (seal_rows = 0) is exactly the legacy all-in-RAM row engine and serves
+/// as the differential-testing oracle.
 ///
 /// Thread-safe: appends and structural changes take an exclusive lock;
 /// reads take a shared lock (sealed segments are immutable, so readers
@@ -166,8 +162,6 @@ class OfflineTable {
   /// Validates options (columns exist with the required types).
   static StatusOr<std::unique_ptr<OfflineTable>> Create(
       OfflineTableOptions options);
-
-  ~OfflineTable();
 
   /// Appends one row; rows may arrive in any time order (late data is
   /// supported and lands in the partition of its event time).
@@ -245,16 +239,10 @@ class OfflineTable {
 
   /// SealHeads (only heads at/above seal_rows) + CompactPartitions (only
   /// partitions at/above compact_min_segments) + EnforceMemoryBudget — the
-  /// periodic maintenance step the background thread runs.
+  /// periodic maintenance step (Materializer runs one after each feature
+  /// log append). A failed pass leaves the table readable and is counted
+  /// in storage_stats().maintenance_errors.
   Status RunMaintenance();
-
-  /// Starts a background maintenance thread running RunMaintenance() every
-  /// `period_millis`. FailedPrecondition if already running. Errors are
-  /// counted in storage_stats().maintenance_errors, never fatal.
-  Status StartMaintenance(int64_t period_millis);
-
-  /// Stops and joins the background maintenance thread (idempotent).
-  void StopMaintenance();
 
   OfflineStorageStats storage_stats() const;
 
@@ -267,9 +255,9 @@ class OfflineTable {
 
   /// Serializes the table, sealed in the BlockFile envelope ("MLFT"):
   /// options (name, key/time columns, granularity, schema, seal_rows,
-  /// memory_budget_bytes, spill_dir, compact_min_segments; not readahead,
-  /// which can hold a borrowed pool pointer), sealed segments (encoded
-  /// blobs, checksums and all) and the mutable heads' rows.
+  /// memory_budget_bytes, spill_dir, compact_min_segments — every option),
+  /// sealed segments (encoded blobs, checksums and all) and the mutable
+  /// heads' rows.
   std::string Snapshot() const;
 
   /// The one table restore: checks the envelope, then rebuilds the table —
@@ -398,15 +386,6 @@ class OfflineTable {
   // targets a segment another maintenance pass is replacing.
   std::mutex maintenance_mu_;
   std::atomic<uint64_t> maintenance_errors_{0};
-
-  /// Spilled-segment prefetcher for AsOfBatch; always constructed (a
-  /// disabled scheduler no-ops), carries its own locks.
-  std::unique_ptr<ReadaheadScheduler> readahead_;
-
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  std::thread bg_thread_;
-  bool bg_stop_ = false;
 };
 
 /// Named collection of offline tables.

@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "embedding/ann.h"
 #include "embedding/distance.h"
 
@@ -118,7 +117,7 @@ TEST(BatchSearchPropertyTest, HnswBatchEqualsLoop) {
     auto index = MakeHnswIndex(options);
     ASSERT_TRUE(index->Build(data.data(), n, dim).ok());
     for (size_t k : {1u, 10u}) {
-      // HNSW batch traversal is bookkeeping-identical to the loop.
+      // HNSW batches through the base loop over Search.
       ExpectBatchMatchesLoop(*index, queries.data(), nq, k, 0.0f);
     }
   }
@@ -134,29 +133,6 @@ TEST(BatchSearchPropertyTest, IvfUsesDefaultLoopImplementation) {
   auto index = MakeIvfIndex(options);
   ASSERT_TRUE(index->Build(data.data(), n, dim).ok());
   ExpectBatchMatchesLoop(*index, queries.data(), nq, 7, 0.0f);
-}
-
-TEST(BatchSearchTest, ThreadPoolFanOutMatchesSerial) {
-  const size_t n = 800, dim = 16, nq = 40, k = 10;
-  auto data = RandomVectors(n, dim, 41);
-  auto queries = RandomVectors(nq, dim, 42);
-  ThreadPool pool(4);
-  for (auto make : {+[] { return MakeBruteForceIndex(); },
-                    +[] { return MakeHnswIndex(); }}) {
-    auto index = make();
-    ASSERT_TRUE(index->Build(data.data(), n, dim).ok());
-    auto serial = index->BatchSearch(queries.data(), nq, k).value();
-    auto parallel = index->BatchSearch(queries.data(), nq, k, &pool).value();
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t q = 0; q < nq; ++q) {
-      ASSERT_EQ(serial[q].size(), parallel[q].size()) << index->name();
-      for (size_t r = 0; r < serial[q].size(); ++r) {
-        EXPECT_EQ(serial[q][r].id, parallel[q][r].id) << index->name();
-        EXPECT_EQ(serial[q][r].distance, parallel[q][r].distance)
-            << index->name();
-      }
-    }
-  }
 }
 
 TEST(BatchSearchTest, Validation) {

@@ -3,14 +3,17 @@
 // Races the storage tier's every moving part at once: writer threads
 // appending batches, reader threads issuing AsOfBatch (full-width and
 // projected, with miss bitmaps), scans and latest-per-entity queries,
-// explicit maintenance calls, AND the background maintenance thread
-// sealing/compacting/spilling underneath them. Asserts the invariants the
-// differential suite pins single-threaded: no row lost or duplicated, tier
-// transitions invisible to readers, stats coherent.
+// explicit maintenance calls, AND a maintenance thread calling
+// RunMaintenance every millisecond to seal/compact/spill underneath them.
+// Asserts the invariants the differential suite pins single-threaded: no
+// row lost or duplicated, tier transitions invisible to readers, stats
+// coherent.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +38,30 @@ SchemaPtr StressSchema() {
       .value();
 }
 
+/// Calls RunMaintenance about once a millisecond on a thread of its own
+/// until destroyed, so seal/compact/spill race everything else the test
+/// runs. A failed pass is counted in storage_stats().maintenance_errors.
+class MaintenanceThread {
+ public:
+  explicit MaintenanceThread(OfflineTable* table)
+      : thread_([this, table] {
+          while (!stop_.load(std::memory_order_acquire)) {
+            (void)table->RunMaintenance();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }) {}
+  ~MaintenanceThread() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+  MaintenanceThread(const MaintenanceThread&) = delete;
+  MaintenanceThread& operator=(const MaintenanceThread&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
   const std::string spill_dir =
       (std::filesystem::path(::testing::TempDir()) / "mlfs_columnar_stress")
@@ -50,7 +77,7 @@ TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
   options.memory_budget_bytes = 16 * 1024;
   options.spill_dir = spill_dir;
   auto table = OfflineTable::Create(options).value();
-  ASSERT_TRUE(table->StartMaintenance(/*period_millis=*/1).ok());
+  auto maintenance = std::make_unique<MaintenanceThread>(table.get());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> rows_written{0};
@@ -75,7 +102,7 @@ TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
         ASSERT_TRUE(table->AppendBatch(rows).ok());
         rows_written.fetch_add(rows.size(), std::memory_order_relaxed);
         if (rng.Bernoulli(0.1)) {
-          // Explicit maintenance racing the background thread.
+          // Explicit maintenance racing the maintenance thread.
           ASSERT_TRUE(table->RunMaintenance().ok());
         }
       }
@@ -131,7 +158,7 @@ TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
   for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
-  table->StopMaintenance();
+  maintenance.reset();
 
   // Nothing lost or duplicated across every seal/compact/spill that ran.
   EXPECT_EQ(table->num_rows(),
@@ -158,7 +185,7 @@ TEST(ColumnarStressTest, SnapshotUnderConcurrentMaintenanceIsConsistent) {
   options.seal_rows = 16;
   options.compact_min_segments = 2;
   auto table = OfflineTable::Create(options).value();
-  ASSERT_TRUE(table->StartMaintenance(1).ok());
+  auto maintenance = std::make_unique<MaintenanceThread>(table.get());
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -184,7 +211,7 @@ TEST(ColumnarStressTest, SnapshotUnderConcurrentMaintenanceIsConsistent) {
   }
   stop.store(true, std::memory_order_release);
   writer.join();
-  table->StopMaintenance();
+  maintenance.reset();
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 
 #include "common/rng.h"
 #include "embedding/compress.h"
 #include "embedding/embedding_drift.h"
+#include "embedding/tier.h"
 
 namespace mlfs {
 namespace {
@@ -151,6 +153,44 @@ TEST(EigenspaceOverlapTest, DecreasesWithCompressionSeverity) {
     EXPECT_GT(eos, 0.0);
     last = eos;
   }
+}
+
+// A tiered table's Get pointer lives only until the thread's next tiered
+// read, so both scores must read resident forms. Over tiered tables with
+// no hot budget (every read decodes into a buffer the next read reuses)
+// they equal the scores over the tables' Materialize() copies; the tables
+// are unrelated, so a score built from freed, reused rows reads too high.
+TEST(TieredQualityTest, ScoresEqualTheMaterializedCopies) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "mlfs_quality_tier")
+          .string();
+  std::filesystem::create_directories(dir);
+  EmbeddingTierOptions options;  // memory_budget_bytes = 0: nothing hot.
+  options.bits = 8;
+  options.dir = dir;
+  auto a = EmbeddingTable::CreateTiered(*RandomTable("a", 400, 16, 7), options)
+               .value();
+  auto b = EmbeddingTable::CreateTiered(*RandomTable("b", 400, 16, 8), options)
+               .value();
+  auto ra = a->Materialize().value();
+  auto rb = b->Materialize().value();
+
+  const NeighborStabilityReport want = NeighborStability(*ra, *rb).value();
+  EXPECT_LT(want.mean_overlap, 0.1);
+  for (const auto& [x, y] : {std::pair{a, b}, std::pair{a, rb},
+                             std::pair{ra, b}}) {
+    const NeighborStabilityReport got = NeighborStability(*x, *y).value();
+    EXPECT_EQ(got.mean_overlap, want.mean_overlap);
+    EXPECT_EQ(got.min_overlap, want.min_overlap);
+    EXPECT_EQ(got.keys_compared, want.keys_compared);
+  }
+  const double eos = EigenspaceOverlapScore(*ra, *rb).value();
+  EXPECT_LT(eos, 0.1);
+  EXPECT_EQ(EigenspaceOverlapScore(*a, *b).value(), eos);
+  EXPECT_EQ(EigenspaceOverlapScore(*a, *rb).value(), eos);
+  a.reset();
+  b.reset();
+  std::filesystem::remove_all(dir);
 }
 
 DownstreamTask ClusterLabelTask(size_t n, int classes) {

@@ -2,7 +2,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -12,7 +11,6 @@
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "io/block_file.h"
-#include "io/readahead.h"
 
 namespace mlfs {
 namespace {
@@ -131,10 +129,6 @@ TEST_F(IoBlockTest, SpillWritesValidatesAndRemovesOnDestroy) {
     EXPECT_EQ((*file)->path(), path);
     EXPECT_EQ((*file)->body(), body);
     EXPECT_TRUE(std::filesystem::exists(path));
-    // Readahead plumbing on a mapped file must be safe over any range.
-    (*file)->AdviseWillNeed(0, (*file)->size());
-    (*file)->TouchPages(0, (*file)->size());
-    (*file)->AdviseWillNeed((*file)->size() + 10, 5);  // Out of range: no-op.
   }
   EXPECT_FALSE(std::filesystem::exists(path)) << "scratch file must be removed";
 }
@@ -184,121 +178,6 @@ TEST_F(IoBlockTest, IoLoadFailpointDegradesMapCleanly) {
   }
   // Disarmed: the same open succeeds — the fault injected no lasting state.
   EXPECT_TRUE(BlockFile::Map(kMagic, kVersion, path, false, "fp").ok());
-}
-
-// --- ReadaheadScheduler --------------------------------------------------
-
-ReadaheadOptions EnabledReadahead(size_t max_in_flight = 8) {
-  ReadaheadOptions options;
-  options.enabled = true;
-  options.max_in_flight = max_in_flight;
-  return options;
-}
-
-TEST_F(IoBlockTest, PrefetchConsumeIsAHit) {
-  ReadaheadScheduler scheduler(EnabledReadahead());
-  scheduler.Prefetch(42, [] {
-    return std::static_pointer_cast<const void>(
-        std::make_shared<const int>(1042));
-  });
-  ReadaheadScheduler::Payload p = scheduler.Consume(42);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(*static_cast<const int*>(p.get()), 1042);
-  const ReadaheadStats stats = scheduler.stats();
-  EXPECT_EQ(stats.issued, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
-  // A second consume of the same key is a miss: the payload was claimed.
-  EXPECT_EQ(scheduler.Consume(42), nullptr);
-  EXPECT_EQ(scheduler.stats().misses, 1u);
-}
-
-TEST_F(IoBlockTest, ConsumeWithoutPrefetchIsAMiss) {
-  ReadaheadScheduler scheduler(EnabledReadahead());
-  EXPECT_EQ(scheduler.Consume(7), nullptr);
-  EXPECT_EQ(scheduler.stats().misses, 1u);
-  EXPECT_EQ(scheduler.stats().hits, 0u);
-}
-
-TEST_F(IoBlockTest, DisabledSchedulerNoOpsWithoutCounting) {
-  ReadaheadScheduler scheduler(ReadaheadOptions{});
-  EXPECT_FALSE(scheduler.enabled());
-  scheduler.Prefetch(1, []() -> ReadaheadScheduler::Payload {
-    ADD_FAILURE() << "disabled scheduler must not run jobs";
-    return nullptr;
-  });
-  EXPECT_EQ(scheduler.Consume(1), nullptr);
-  const ReadaheadStats stats = scheduler.stats();
-  EXPECT_EQ(stats.issued, 0u);
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
-  scheduler.Drain();
-}
-
-TEST_F(IoBlockTest, DuplicatePrefetchesDedupe) {
-  ReadaheadScheduler scheduler(EnabledReadahead());
-  auto job = [] {
-    return std::static_pointer_cast<const void>(std::make_shared<const int>(5));
-  };
-  scheduler.Prefetch(9, job);
-  scheduler.Drain();
-  scheduler.Prefetch(9, job);  // Already materialized: deduped.
-  EXPECT_EQ(scheduler.stats().issued, 1u);
-  EXPECT_EQ(scheduler.stats().deduped, 1u);
-  EXPECT_NE(scheduler.Consume(9), nullptr);
-}
-
-TEST_F(IoBlockTest, UnconsumedPrefetchesAgeOutAsWasted) {
-  ReadaheadScheduler scheduler(EnabledReadahead(/*max_in_flight=*/256));
-  // Overflow the bounded ready FIFO so the oldest results age out.
-  for (uint64_t key = 0; key < 80; ++key) {
-    scheduler.Prefetch(key, [key] {
-      return std::static_pointer_cast<const void>(
-          std::make_shared<const uint64_t>(key));
-    });
-    scheduler.Drain();  // Serialize so drops are deterministic-ish.
-  }
-  const ReadaheadStats stats = scheduler.stats();
-  EXPECT_EQ(stats.issued, 80u);
-  EXPECT_GT(stats.wasted, 0u);
-  // The newest result is still parked; the oldest aged out.
-  EXPECT_NE(scheduler.Consume(79), nullptr);
-  EXPECT_EQ(scheduler.Consume(0), nullptr);
-}
-
-TEST_F(IoBlockTest, ReadaheadFailpointSkipsPrefetchAndCountsFault) {
-  ReadaheadScheduler scheduler(EnabledReadahead());
-  {
-    ScopedFailpoint fp("io.readahead",
-                       {.status = Status::Internal("injected readahead")});
-    scheduler.Prefetch(3, []() -> ReadaheadScheduler::Payload {
-      ADD_FAILURE() << "faulted prefetch must not run";
-      return nullptr;
-    });
-  }
-  EXPECT_EQ(scheduler.stats().faults, 1u);
-  EXPECT_EQ(scheduler.stats().issued, 0u);
-  // The demand path is untouched: consume misses and the caller loads.
-  EXPECT_EQ(scheduler.Consume(3), nullptr);
-  EXPECT_EQ(scheduler.stats().misses, 1u);
-}
-
-TEST_F(IoBlockTest, InFlightLimitDropsExcessPrefetches) {
-  ReadaheadScheduler scheduler(EnabledReadahead(/*max_in_flight=*/1));
-  std::atomic<bool> release{false};
-  scheduler.Prefetch(1, [&release]() -> ReadaheadScheduler::Payload {
-    while (!release.load()) {
-    }
-    return std::static_pointer_cast<const void>(std::make_shared<const int>(1));
-  });
-  scheduler.Prefetch(2, []() -> ReadaheadScheduler::Payload {
-    ADD_FAILURE() << "over-limit prefetch must be dropped, not queued";
-    return nullptr;
-  });
-  EXPECT_EQ(scheduler.stats().dropped, 1u);
-  release.store(true);
-  EXPECT_NE(scheduler.Consume(1), nullptr);
-  EXPECT_EQ(scheduler.Consume(2), nullptr);  // Dropped: a miss.
 }
 
 }  // namespace

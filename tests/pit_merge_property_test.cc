@@ -13,7 +13,6 @@
 
 #include "common/rng.h"
 #include "common/serde.h"
-#include "common/threadpool.h"
 #include "serving/point_in_time.h"
 #include "storage/offline_store.h"
 
@@ -159,7 +158,6 @@ class PitMergePropertyTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(PitMergePropertyTest, MergeJoinMatchesReferenceByteForByte) {
   const bool string_keys = GetParam();
-  ThreadPool pool(4);
   for (uint64_t trial = 0; trial < 12; ++trial) {
     Rng rng(0x9177 + trial * 131 + (string_keys ? 7 : 0));
     RandomFixture f = BuildFixture(rng, string_keys);
@@ -170,7 +168,7 @@ TEST_P(PitMergePropertyTest, MergeJoinMatchesReferenceByteForByte) {
     auto merged = PointInTimeJoin(f.spine, "key", "ts", f.sources);
     ASSERT_TRUE(merged.ok()) << merged.status();
     JoinOptions parallel;
-    parallel.pool = &pool;
+    parallel.max_threads = 4;
     auto merged_mt =
         PointInTimeJoin(f.spine, "key", "ts", f.sources, parallel);
     ASSERT_TRUE(merged_mt.ok()) << merged_mt.status();
@@ -196,7 +194,7 @@ INSTANTIATE_TEST_SUITE_P(KeyTypes, PitMergePropertyTest,
                            return info.param ? "StringKeys" : "Int64Keys";
                          });
 
-// An internal-pool join (max_threads knob, no external pool) must also
+// A join on an odd number of workers (max_threads = 3) must also
 // reproduce the reference exactly.
 TEST(PitMergeTest, InternalPoolMatchesReference) {
   Rng rng(0xfeed);

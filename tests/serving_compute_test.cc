@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
@@ -751,7 +750,7 @@ TEST_F(DictPredicateTest, AllNullStringColumnScansClean) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Time-range pruning and readahead depth.
+// 4. Time-range pruning.
 // ---------------------------------------------------------------------------
 
 class TimePruneTest : public ::testing::Test {
@@ -862,49 +861,6 @@ TEST_F(TimePruneTest, ScanSkipsNonOverlappingSegmentsAndCountsThem) {
   ASSERT_TRUE(pushed.ok());
   EXPECT_GT(t->storage_stats().scan_segments_skipped, before2);
   EXPECT_EQ(pushed->size(), want.size());
-}
-
-TEST_F(TimePruneTest, ReadaheadIsByteIdenticalToDemandReads) {
-  const std::string spill_dir =
-      (std::filesystem::path(::testing::TempDir()) / "mlfs_ra_on_off")
-          .string();
-  std::filesystem::remove_all(spill_dir);
-  // Two tables over the same rows, everything sealed spilled: one reads
-  // spilled segments with readahead warming the next one, one on demand.
-  OfflineStore store;
-  std::vector<OfflineTable*> tables;
-  for (bool readahead : {true, false}) {
-    OfflineTableOptions opt;
-    opt.spill_dir = spill_dir;
-    opt.memory_budget_bytes = 1;  // Spill everything sealed.
-    opt.readahead.enabled = readahead;
-    Rng rows_rng(0x4ead);
-    tables.push_back(MakeTable(store, readahead ? "ra" : "demand", opt,
-                               rows_rng, 2000));
-    ASSERT_TRUE(tables.back()->EnforceMemoryBudget().ok());
-    ASSERT_GE(tables.back()->storage_stats().spilled_segments, 2u);
-  }
-
-  Rng rng(0x4eae);
-  const auto reqs = MakeRequests(rng, 200);
-  std::vector<AsOfRequest> requests;
-  for (const auto& [k, ts] : reqs) requests.push_back({k, ts});
-
-  std::vector<std::vector<Row>> results;
-  for (OfflineTable* t : tables) {
-    std::vector<Row> rows(requests.size());
-    ASSERT_TRUE(t->AsOfBatch(requests, rows).ok());
-    results.push_back(std::move(rows));
-  }
-  EXPECT_GE(tables[0]->storage_stats().readahead.issued, 1u);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const bool hit = results[0][i].schema() != nullptr;
-    ASSERT_EQ(hit, results[1][i].schema() != nullptr) << "request " << i;
-    if (hit) {
-      EXPECT_EQ(results[0][i], results[1][i]);
-    }
-  }
-  std::filesystem::remove_all(spill_dir);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "common/failpoint.h"
 #include "common/rng.h"
-#include "common/threadpool.h"
 #include "core/feature_store.h"
 #include "embedding/ann.h"
 #include "embedding/compress.h"
@@ -580,9 +579,8 @@ TEST_F(TieredEmbeddingTest, TieredBruteMatchesResidentBruteBitwise) {
       EXPECT_EQ(got[i].distance, want[i].distance) << static_cast<int>(metric);
     }
 
-    ThreadPool pool(3);
-    auto want_batch = brute->BatchSearch(queries.data(), 40, 5, &pool).value();
-    auto got_batch = scan->BatchSearch(queries.data(), 40, 5, &pool).value();
+    auto want_batch = brute->BatchSearch(queries.data(), 40, 5).value();
+    auto got_batch = scan->BatchSearch(queries.data(), 40, 5).value();
     ASSERT_EQ(got_batch.size(), want_batch.size());
     for (size_t q = 0; q < want_batch.size(); ++q) {
       ASSERT_EQ(got_batch[q].size(), want_batch[q].size());
