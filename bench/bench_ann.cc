@@ -4,10 +4,10 @@
 // Three experiments:
 //   1. Batched retrieval (BM_*): throughput of AnnIndex::BatchSearch at
 //      batch sizes 1/16/256 over 64d and 300d vectors, brute-force vs
-//      HNSW. The brute-force batched scan amortizes each row block across
-//      a tile of queries, turning a memory-bound per-query scan into a
-//      compute-bound pass; HNSW batches reuse the epoch-stamped visited
-//      pool instead of allocating per query.
+//      HNSW. The brute-force scan scores each L1-sized row block against
+//      a tile of queries with the four-rows-per-step row kernel, so a
+//      batch shares every row load and call across its queries; HNSW
+//      batches loop Search over the epoch-stamped visited pool.
 //   2. Graceful degradation under a memory budget (BM_Tiered*): the same
 //      50k x 64d table spilled to the packed 8-bit tier at hot fractions
 //      100/50/25/10% (fixture up to 10x the hot budget). BatchSearch
@@ -350,10 +350,17 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::AddCustomContext(
       "note",
-      "recorded in Release on a shared 4-vCPU container (nproc = 4), warm "
-      "cache (tier files freshly written, mapped and resident): absolute "
-      "throughput is not comparable across machines; the shape to read is "
-      "the relative degradation across hot_pct and the batch-size scaling");
+      "recorded in Release on a shared 4-vCPU container (nproc = 4), medians "
+      "of 3. Host load: no other benchmark or build ran during the "
+      "recording; load_avg is the host's load at the start, and other "
+      "tenants of the shared host are not visible from inside it. "
+      "BM_TieredBruteBatchSearch reports wall time: cold:0 is warm (tier "
+      "file freshly written, mapped and resident), cold:1 drops the tier "
+      "file's pages before every iteration (MADV_DONTNEED on the mapping + "
+      "POSIX_FADV_DONTNEED on the file; resident_pages is what mincore "
+      "still found, 0). Every other case is warm. Run-to-run spread on "
+      "this shared host is wide: read the shape across hot_pct and batch "
+      "size, not absolute throughput");
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

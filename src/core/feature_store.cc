@@ -254,6 +254,10 @@ FeatureStore::NearestEntitiesBatch(
     size_t k) {
   using Result = StatusOr<std::vector<std::pair<std::string, float>>>;
   const size_t n = reference_keys.size();
+  if (k == 0) {
+    return std::vector<Result>(
+        n, Result(Status::InvalidArgument("NearestEntities needs k >= 1")));
+  }
   StatusOr<EmbeddingTablePtr> table = embedding_store_.GetLatest(name);
   if (!table.ok()) {
     return std::vector<Result>(n, Result(table.status()));
@@ -288,6 +292,9 @@ FeatureStore::NearestEntitiesBatch(
     query_slot.push_back(i);
   }
   if (query_slot.empty()) return out;
+  // One extra hit makes room for the reference row itself; clamped first
+  // so that k + 1 cannot wrap.
+  k = std::min(k, (*table)->size());
   StatusOr<std::vector<std::vector<Neighbor>>> hits =
       (*entry)->index->BatchSearch(queries.data(), query_slot.size(), k + 1);
   if (!hits.ok()) {

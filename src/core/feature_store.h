@@ -122,7 +122,9 @@ class FeatureStore {
                                             const std::string& key) const;
 
   /// k nearest entities of `reference_key` under the latest version (ANN
-  /// index built and cached per version). The index build happens outside
+  /// index built and cached per version), the key itself excluded; fewer
+  /// when the table holds fewer, and InvalidArgument for k = 0. The index
+  /// build happens outside
   /// the cache lock with once-per-version semantics: concurrent callers on
   /// the same version share one build, and a slow build on one embedding
   /// never blocks lookups on another. A batch of one:

@@ -37,9 +37,11 @@ class AnnIndex {
   /// Batched search: `queries` is `nq` row-major vectors of the indexed
   /// dimension; entry i of the result is query i's neighbors, identical to
   /// what Search(queries + i * dim, k) returns. The base implementation
-  /// loops Search; indexes override it to amortize per-query costs
-  /// (brute force: blocked scans that reuse each data block across the
-  /// whole batch). Runs on the calling thread. Thread-safe after Build.
+  /// loops Search (IVF, HNSW); both brute-force indexes override it with
+  /// one exact scan that reuses each cache-resident row block across a
+  /// tile of queries, and their Search is a batch of one, so the two agree
+  /// bit for bit under every metric. Runs on the calling thread.
+  /// Thread-safe after Build.
   virtual StatusOr<std::vector<std::vector<Neighbor>>> BatchSearch(
       const float* queries, size_t nq, size_t k) const;
 
@@ -56,10 +58,12 @@ std::unique_ptr<AnnIndex> MakeBruteForceIndex(Metric metric = Metric::kL2);
 
 class EmbeddingTable;
 /// Exact scan over a *tiered* embedding table: blocks stream out of the
-/// tier (hot prefix or dequantize-on-read, never promoting), so search
-/// works within the tier's memory budget instead of materializing the
-/// matrix. Build(nullptr, 0, 0) — the data comes from `table`. Results
-/// are bitwise-identical to MakeBruteForceIndex over the served vectors.
+/// tier once per batch (hot prefix or dequantize-on-read, never
+/// promoting), so search works within the tier's memory budget instead of
+/// materializing the matrix. Build(nullptr, 0, 0) — the data comes from
+/// `table`. The blocks feed the same scan as MakeBruteForceIndex, so
+/// results are bitwise-identical to it over the served vectors, for every
+/// metric and batch size.
 std::unique_ptr<AnnIndex> MakeTieredBruteForceIndex(
     std::shared_ptr<const EmbeddingTable> table, Metric metric = Metric::kL2);
 

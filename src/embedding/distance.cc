@@ -5,12 +5,18 @@
 // kernels to within re-association error (~1e-6 relative at dim 300).
 //
 // Dispatch happens once, at static-initialization time, into plain
-// function pointers: the hot loops in brute-force scan, HNSW traversal,
-// IVF probing, and k-means assignment all call through `simd::dot_product`
-// / `simd::l2_squared` with no per-call feature test. The pointers are
+// function pointers: HNSW traversal, IVF probing, and k-means assignment
+// call through `simd::dot_product` / `simd::l2_squared`, and the exact
+// scan through the row kernels `simd::dot_product_rows` /
+// `simd::l2_squared_rows`, with no per-call feature test. The pointers are
 // constant-initialized to the scalar kernels so any caller that runs
 // before this TU's dynamic initializers (e.g. another TU's static
 // constructor) still gets correct results.
+//
+// A row kernel returns exactly the per-pair kernel's bits for every row:
+// each row keeps its own accumulators, fed in the same order with the same
+// operations, and its horizontal sum and scalar tail associate the same
+// way. Only the query loads and the call are shared across rows.
 
 #include "embedding/distance.h"
 
@@ -69,52 +75,119 @@ __attribute__((target("avx2,fma"))) float HorizontalSum(__m256 v) {
   return _mm_cvtss_f32(sum);
 }
 
-__attribute__((target("avx2,fma"))) float DotProductAvx2(const float* a,
-                                                         const float* b,
-                                                         size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t j = 0;
-  for (; j + 16 <= dim; j += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j + 8),
-                           _mm256_loadu_ps(b + j + 8), acc1);
+/// HorizontalSum of four vectors at once, lane r holding HorizontalSum(vr):
+/// the same halves add, then a 4x4 transpose lines up each vector's four
+/// partial sums so they associate as (e0 + e2) + (e1 + e3).
+__attribute__((target("avx2,fma"))) inline __m128 HorizontalSum4(
+    __m256 v0, __m256 v1, __m256 v2, __m256 v3) {
+  __m128 e0 = _mm_add_ps(_mm256_castps256_ps128(v0),
+                         _mm256_extractf128_ps(v0, 1));
+  __m128 e1 = _mm_add_ps(_mm256_castps256_ps128(v1),
+                         _mm256_extractf128_ps(v1, 1));
+  __m128 e2 = _mm_add_ps(_mm256_castps256_ps128(v2),
+                         _mm256_extractf128_ps(v2, 1));
+  __m128 e3 = _mm_add_ps(_mm256_castps256_ps128(v3),
+                         _mm256_extractf128_ps(v3, 1));
+  _MM_TRANSPOSE4_PS(e0, e1, e2, e3);
+  return _mm_add_ps(_mm_add_ps(e0, e2), _mm_add_ps(e1, e3));
+}
+
+/// One 8-lane step: acc + (a - b)^2 for L2, acc + a * b for dot, fused.
+template <bool kL2>
+__attribute__((target("avx2,fma"), always_inline)) inline __m256 Accumulate(
+    __m256 acc, __m256 a, const float* b) {
+  if constexpr (kL2) {
+    __m256 d = _mm256_sub_ps(a, _mm256_loadu_ps(b));
+    return _mm256_fmadd_ps(d, d, acc);
+  } else {
+    return _mm256_fmadd_ps(a, _mm256_loadu_ps(b), acc);
   }
-  if (j + 8 <= dim) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
-    j += 8;
+}
+
+/// The scalar tail past the last 8-lane step, added onto `sum`.
+template <bool kL2>
+__attribute__((target("avx2,fma"), always_inline)) inline float Tail(
+    const float* a, const float* b, size_t j, size_t dim, float sum) {
+  for (; j < dim; ++j) {
+    if constexpr (kL2) {
+      float d = a[j] - b[j];
+      sum += d * d;
+    } else {
+      sum += a[j] * b[j];
+    }
   }
-  float sum = HorizontalSum(_mm256_add_ps(acc0, acc1));
-  for (; j < dim; ++j) sum += a[j] * b[j];
   return sum;
 }
 
-__attribute__((target("avx2,fma"))) float L2SquaredAvx2(const float* a,
-                                                        const float* b,
-                                                        size_t dim) {
+/// One pair: two accumulators over 16-wide steps, an 8-wide remainder into
+/// the first, their horizontal sum, then the scalar tail.
+template <bool kL2>
+__attribute__((target("avx2,fma"))) float PairAvx2(const float* a,
+                                                   const float* b,
+                                                   size_t dim) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
   size_t j = 0;
   for (; j + 16 <= dim; j += 16) {
-    __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j));
-    __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a + j + 8),
-                              _mm256_loadu_ps(b + j + 8));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-    acc1 = _mm256_fmadd_ps(d1, d1, acc1);
+    acc0 = Accumulate<kL2>(acc0, _mm256_loadu_ps(a + j), b + j);
+    acc1 = Accumulate<kL2>(acc1, _mm256_loadu_ps(a + j + 8), b + j + 8);
   }
   if (j + 8 <= dim) {
-    __m256 d = _mm256_sub_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j));
-    acc0 = _mm256_fmadd_ps(d, d, acc0);
+    acc0 = Accumulate<kL2>(acc0, _mm256_loadu_ps(a + j), b + j);
     j += 8;
   }
-  float sum = HorizontalSum(_mm256_add_ps(acc0, acc1));
-  for (; j < dim; ++j) {
-    float d = a[j] - b[j];
-    sum += d * d;
+  return Tail<kL2>(a, b, j, dim, HorizontalSum(_mm256_add_ps(acc0, acc1)));
+}
+
+/// PairAvx2 for four rows per step, eight accumulators sharing each query
+/// load; rows past the last multiple of four go through PairAvx2.
+template <bool kL2>
+__attribute__((target("avx2,fma"))) void RowsAvx2(const float* query,
+                                                  const float* rows,
+                                                  size_t nrows, size_t dim,
+                                                  float* out) {
+  size_t r = 0;
+  for (; r + 4 <= nrows; r += 4) {
+    const float* r0 = rows + r * dim;
+    const float* r1 = r0 + dim;
+    const float* r2 = r1 + dim;
+    const float* r3 = r2 + dim;
+    __m256 a0 = _mm256_setzero_ps(), b0 = _mm256_setzero_ps();
+    __m256 a1 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), b2 = _mm256_setzero_ps();
+    __m256 a3 = _mm256_setzero_ps(), b3 = _mm256_setzero_ps();
+    size_t j = 0;
+    for (; j + 16 <= dim; j += 16) {
+      const __m256 q0 = _mm256_loadu_ps(query + j);
+      const __m256 q1 = _mm256_loadu_ps(query + j + 8);
+      a0 = Accumulate<kL2>(a0, q0, r0 + j);
+      b0 = Accumulate<kL2>(b0, q1, r0 + j + 8);
+      a1 = Accumulate<kL2>(a1, q0, r1 + j);
+      b1 = Accumulate<kL2>(b1, q1, r1 + j + 8);
+      a2 = Accumulate<kL2>(a2, q0, r2 + j);
+      b2 = Accumulate<kL2>(b2, q1, r2 + j + 8);
+      a3 = Accumulate<kL2>(a3, q0, r3 + j);
+      b3 = Accumulate<kL2>(b3, q1, r3 + j + 8);
+    }
+    if (j + 8 <= dim) {
+      const __m256 q0 = _mm256_loadu_ps(query + j);
+      a0 = Accumulate<kL2>(a0, q0, r0 + j);
+      a1 = Accumulate<kL2>(a1, q0, r1 + j);
+      a2 = Accumulate<kL2>(a2, q0, r2 + j);
+      a3 = Accumulate<kL2>(a3, q0, r3 + j);
+      j += 8;
+    }
+    _mm_storeu_ps(out + r, HorizontalSum4(
+                               _mm256_add_ps(a0, b0), _mm256_add_ps(a1, b1),
+                               _mm256_add_ps(a2, b2), _mm256_add_ps(a3, b3)));
+    if (j < dim) {
+      out[r] = Tail<kL2>(query, r0, j, dim, out[r]);
+      out[r + 1] = Tail<kL2>(query, r1, j, dim, out[r + 1]);
+      out[r + 2] = Tail<kL2>(query, r2, j, dim, out[r + 2]);
+      out[r + 3] = Tail<kL2>(query, r3, j, dim, out[r + 3]);
+    }
   }
-  return sum;
+  for (; r < nrows; ++r) out[r] = PairAvx2<kL2>(query, rows + r * dim, dim);
 }
 
 bool CpuHasAvx2Fma() {
@@ -168,12 +241,22 @@ float L2SquaredNeon(const float* a, const float* b, size_t dim) {
 
 #endif  // MLFS_DISTANCE_NEON
 
+/// The row kernel of a per-pair kernel: one call per row, bit-identical by
+/// construction.
+template <KernelFn kPair>
+void LoopRows(const float* query, const float* rows, size_t nrows,
+              size_t dim, float* out) {
+  for (size_t r = 0; r < nrows; ++r) out[r] = kPair(query, rows + r * dim, dim);
+}
+
 std::string_view g_level = "scalar";
 
 }  // namespace
 
 KernelFn dot_product = DotProductScalar;
 KernelFn l2_squared = L2SquaredScalar;
+RowsKernelFn dot_product_rows = LoopRows<DotProductScalar>;
+RowsKernelFn l2_squared_rows = LoopRows<L2SquaredScalar>;
 
 namespace {
 
@@ -183,13 +266,17 @@ namespace {
 const bool g_dispatched = [] {
 #if MLFS_DISTANCE_X86
   if (CpuHasAvx2Fma()) {
-    dot_product = DotProductAvx2;
-    l2_squared = L2SquaredAvx2;
+    dot_product = PairAvx2<false>;
+    l2_squared = PairAvx2<true>;
+    dot_product_rows = RowsAvx2<false>;
+    l2_squared_rows = RowsAvx2<true>;
     g_level = "avx2+fma";
   }
 #elif MLFS_DISTANCE_NEON
   dot_product = DotProductNeon;
   l2_squared = L2SquaredNeon;
+  dot_product_rows = LoopRows<DotProductNeon>;
+  l2_squared_rows = LoopRows<L2SquaredNeon>;
   g_level = "neon";
 #endif
   return true;

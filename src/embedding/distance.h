@@ -30,6 +30,15 @@ using KernelFn = float (*)(const float*, const float*, size_t);
 /// on x86, NEON on aarch64) — callers never pay a feature check per call.
 extern KernelFn dot_product;
 extern KernelFn l2_squared;
+/// One query against `nrows` contiguous rows of `dim` floats:
+/// out[r] = dot_product(query, rows + r * dim, dim) (resp. l2_squared), bit
+/// for bit, for every r. The AVX2+FMA kernels score four rows per step
+/// with every query load shared; scalar and NEON loop the per-pair kernel.
+/// Dispatched with (and constant-initialized like) the per-pair pointers.
+using RowsKernelFn = void (*)(const float* query, const float* rows,
+                              size_t nrows, size_t dim, float* out);
+extern RowsKernelFn dot_product_rows;
+extern RowsKernelFn l2_squared_rows;
 /// Name of the dispatched implementation: "avx2+fma", "neon", or "scalar".
 std::string_view LevelName();
 }  // namespace simd

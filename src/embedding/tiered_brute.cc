@@ -1,36 +1,23 @@
 #include <algorithm>
-#include <cmath>
-#include <queue>
 
 #include "embedding/ann.h"
 #include "embedding/embedding_table.h"
+#include "embedding/exact_scan.h"
 #include "embedding/tier.h"
 
 namespace mlfs {
 namespace {
 
-using BestHeap = std::priority_queue<std::pair<float, size_t>>;
-
-std::vector<Neighbor> DrainHeap(BestHeap* heap) {
-  std::vector<Neighbor> out(heap->size());
-  for (size_t i = heap->size(); i-- > 0;) {
-    out[i] = {heap->top().first, heap->top().second};
-    heap->pop();
-  }
-  return out;
-}
-
 /// Exact scan over a *tiered* embedding table: blocks stream out of the
 /// tier (hot prefix directly, cold blocks dequantized into scan scratch —
 /// never promoted, so an ANN pass cannot flush the point-lookup working
-/// set) and queries tile over each block while it is cache-resident.
+/// set) into the same ExactScan the resident index runs, once per batch.
 ///
 /// Results are bitwise-identical to BruteForceIndex built over the
-/// table's served vectors: rows are visited in ascending order with the
-/// same heap update rule and the same per-metric float expressions, and
-/// cosine inverse norms are recomputed from the served rows on every scan
-/// so demotions (which change a row's served value to its dequantized
-/// form) can never leave the norms stale.
+/// table's served vectors: the scan sees the same rows in the same order,
+/// and cosine inverse norms are recomputed from the served rows on every
+/// scan so demotions (which change a row's served value to its
+/// dequantized form) can never leave the norms stale.
 class TieredBruteForceIndex final : public AnnIndex {
  public:
   TieredBruteForceIndex(EmbeddingTablePtr table, Metric metric)
@@ -52,36 +39,11 @@ class TieredBruteForceIndex final : public AnnIndex {
 
   StatusOr<std::vector<Neighbor>> Search(const float* query,
                                          size_t k) const override {
-    if (!built_) {
-      return Status::FailedPrecondition("index not built");
-    }
-    if (query == nullptr || k == 0) {
-      return Status::InvalidArgument("bad query");
-    }
-    const size_t n = table_->size();
-    const size_t dim = table_->dim();
-    k = std::min(k, n);
-    BestHeap heap;
-    MLFS_RETURN_IF_ERROR(table_->tier()->ScanBlocks(
-        [&](size_t row0, size_t nrows, const float* rows) {
-          for (size_t r = 0; r < nrows; ++r) {
-            float d = Distance(metric_, query, rows + r * dim, dim);
-            const size_t i = row0 + r;
-            if (heap.size() < k) {
-              heap.emplace(d, i);
-            } else if (d < heap.top().first) {
-              heap.pop();
-              heap.emplace(d, i);
-            }
-          }
-        }));
-    return DrainHeap(&heap);
+    return SearchAsBatchOfOne(*this, query, k);
   }
 
-  /// One streaming pass over the tier per batch (cold blocks dequantize
-  /// once for all queries, not once per query tile); every query scans
-  /// each block while it is cache-resident. Per-query scan order stays
-  /// ascending, so results match the resident blocked scan exactly.
+  /// One streaming pass over the tier per batch: cold blocks dequantize
+  /// once for all queries.
   StatusOr<std::vector<std::vector<Neighbor>>> BatchSearch(
       const float* queries, size_t nq, size_t k) const override {
     if (!built_) {
@@ -90,61 +52,14 @@ class TieredBruteForceIndex final : public AnnIndex {
     if ((queries == nullptr && nq > 0) || k == 0) {
       return Status::InvalidArgument("bad query batch");
     }
-    const size_t n = table_->size();
-    const size_t dim = table_->dim();
-    k = std::min(k, n);
-    std::vector<std::vector<Neighbor>> out(nq);
-    if (nq == 0) return out;
-
-    std::vector<BestHeap> heaps(nq);
-    std::vector<float> query_inv_norm;
-    if (metric_ == Metric::kCosine) {
-      query_inv_norm.resize(nq);
-      for (size_t q = 0; q < nq; ++q) {
-        float norm = L2Norm(queries + q * dim, dim);
-        query_inv_norm[q] = norm == 0 ? 0.0f : 1.0f / norm;
-      }
-    }
-    std::vector<float> row_inv_norm;
+    if (nq == 0) return std::vector<std::vector<Neighbor>>();
+    ExactScan scan(metric_, queries, nq, table_->dim(),
+                   std::min(k, table_->size()));
     MLFS_RETURN_IF_ERROR(table_->tier()->ScanBlocks(
         [&](size_t row0, size_t nrows, const float* rows) {
-          if (metric_ == Metric::kCosine) {
-            row_inv_norm.resize(nrows);
-            for (size_t r = 0; r < nrows; ++r) {
-              float norm = L2Norm(rows + r * dim, dim);
-              row_inv_norm[r] = norm == 0 ? 0.0f : 1.0f / norm;
-            }
-          }
-          for (size_t q = 0; q < nq; ++q) {
-            const float* query = queries + q * dim;
-            BestHeap& heap = heaps[q];
-            for (size_t r = 0; r < nrows; ++r) {
-              const float* row = rows + r * dim;
-              float d = 0.0f;
-              switch (metric_) {
-                case Metric::kL2:
-                  d = L2Squared(query, row, dim);
-                  break;
-                case Metric::kInnerProduct:
-                  d = -DotProduct(query, row, dim);
-                  break;
-                case Metric::kCosine:
-                  d = 1.0f - DotProduct(query, row, dim) *
-                                 row_inv_norm[r] * query_inv_norm[q];
-                  break;
-              }
-              const size_t i = row0 + r;
-              if (heap.size() < k) {
-                heap.emplace(d, i);
-              } else if (d < heap.top().first) {
-                heap.pop();
-                heap.emplace(d, i);
-              }
-            }
-          }
+          scan.Add(row0, nrows, rows);
         }));
-    for (size_t q = 0; q < nq; ++q) out[q] = DrainHeap(&heaps[q]);
-    return out;
+    return scan.Finish();
   }
 
   std::string name() const override { return "tiered_brute_force"; }

@@ -1,11 +1,16 @@
 // Batched ANN retrieval and SIMD distance kernels: BatchSearch must agree
-// with a loop of Search for every index and metric, and the dispatched
+// with a loop of Search for every index and metric, the dispatched
 // kernels must agree with the scalar reference kernels on awkward
-// (non-multiple-of-lane) dimensions.
+// (non-multiple-of-lane) dimensions, and the row kernels must return the
+// per-pair kernels' bits.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "embedding/ann.h"
@@ -51,6 +56,66 @@ TEST(SimdDistanceTest, KernelsAgreeOnLaneMultipleDims) {
   }
 }
 
+// Gaussian rows, every third of which also carries the specials the
+// kernels must carry through unchanged: signed zeros, magnitudes whose
+// squares and products overflow, infinities and NaN.
+std::vector<float> VectorsWithSpecials(size_t n, size_t dim, uint64_t seed) {
+  // Made at run time, so it is the NaN the hardware itself produces (from
+  // inf - inf or 0 * inf inside a kernel): every NaN then has one bit
+  // pattern, whichever operand an instruction propagates.
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  const float specials[] = {0.0f, -0.0f, 3e19f, -3e19f, 1e38f, -1e38f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), nan};
+  Rng rng(seed);
+  std::vector<float> out(n * dim);
+  for (size_t i = 0; i < out.size(); ++i) {
+    const bool special = (i / dim) % 3 == 0 && rng.Uniform(8) == 0;
+    out[i] = special ? specials[rng.Uniform(std::size(specials))]
+                     : static_cast<float>(rng.Gaussian());
+  }
+  return out;
+}
+
+TEST(SimdDistanceTest, RowKernelsEqualPerPairKernelsBitwise) {
+  // Dims cover the 16-wide main loop, the 8-wide remainder and the scalar
+  // tail in every combination; row counts cover the 4-row step's
+  // remainders on either side of a 256-row boundary.
+  const size_t dims[] = {1, 3, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33, 64,
+                         300};
+  const size_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257};
+  for (size_t dim : dims) {
+    // One float of offset leaves rows and queries unaligned to the vector
+    // width. Query 0 carries specials, query 1 does not.
+    auto rows = VectorsWithSpecials(257, dim + 1, 500 + dim);
+    auto queries = VectorsWithSpecials(2, dim + 1, 600 + dim);
+    for (size_t qi = 0; qi < 2; ++qi) {
+      const float* q = queries.data() + 1 + qi * dim;
+      const float* r0 = rows.data() + 1;
+      for (size_t nrows : row_counts) {
+        std::vector<float> got(nrows), want(nrows);
+        simd::l2_squared_rows(q, r0, nrows, dim, got.data());
+        for (size_t r = 0; r < nrows; ++r) {
+          want[r] = simd::l2_squared(q, r0 + r * dim, dim);
+        }
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(), nrows * sizeof(float)), 0)
+            << "l2 dim=" << dim << " rows=" << nrows << " query=" << qi
+            << " level=" << simd::LevelName();
+        simd::dot_product_rows(q, r0, nrows, dim, got.data());
+        for (size_t r = 0; r < nrows; ++r) {
+          want[r] = simd::dot_product(q, r0 + r * dim, dim);
+        }
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(), nrows * sizeof(float)), 0)
+            << "dot dim=" << dim << " rows=" << nrows << " query=" << qi
+            << " level=" << simd::LevelName();
+      }
+    }
+  }
+}
+
 TEST(SimdDistanceTest, ReportsALevel) {
   // Whatever the host CPU, dispatch must have settled on a known level.
   std::string_view level = simd::LevelName();
@@ -58,13 +123,12 @@ TEST(SimdDistanceTest, ReportsALevel) {
       << level;
 }
 
-// BatchSearch(queries) must return what looping Search over the same
-// queries returns. For kL2/kInnerProduct the brute-force batched scan uses
-// the identical kernel in identical row order, so results match exactly;
-// kCosine uses precomputed row norms, so distances may differ in the last
-// ulps — compare with tolerance and accept id swaps only between ties.
+// BatchSearch(queries) must return exactly what looping Search over the
+// same queries returns: same ids, same distance bits, for every metric.
+// Brute force's Search is a batch of one through the same scan; HNSW and
+// IVF batch through the base loop over Search.
 void ExpectBatchMatchesLoop(const AnnIndex& index, const float* queries,
-                            size_t nq, size_t k, float tol) {
+                            size_t nq, size_t k) {
   auto batch = index.BatchSearch(queries, nq, k);
   ASSERT_TRUE(batch.ok()) << batch.status();
   ASSERT_EQ(batch->size(), nq);
@@ -73,15 +137,10 @@ void ExpectBatchMatchesLoop(const AnnIndex& index, const float* queries,
     const auto& got = (*batch)[q];
     ASSERT_EQ(got.size(), loop.size()) << index.name() << " query " << q;
     for (size_t r = 0; r < loop.size(); ++r) {
-      EXPECT_NEAR(got[r].distance, loop[r].distance,
-                  tol * (1.0f + std::abs(loop[r].distance)))
+      EXPECT_EQ(got[r].id, loop[r].id)
           << index.name() << " query " << q << " rank " << r;
-      if (got[r].id != loop[r].id) {
-        // Allowed only when the two candidates tie within tolerance.
-        EXPECT_NEAR(got[r].distance, loop[r].distance, 1e-4f)
-            << index.name() << " query " << q << " rank " << r
-            << " ids " << got[r].id << " vs " << loop[r].id;
-      }
+      EXPECT_EQ(got[r].distance, loop[r].distance)
+          << index.name() << " query " << q << " rank " << r;
     }
   }
 }
@@ -89,14 +148,21 @@ void ExpectBatchMatchesLoop(const AnnIndex& index, const float* queries,
 class BatchSearchPropertyTest : public ::testing::TestWithParam<Metric> {};
 
 TEST_P(BatchSearchPropertyTest, BruteForceBatchEqualsLoop) {
-  const size_t n = 700, dim = 24, nq = 37;
-  auto data = RandomVectors(n, dim, 11);
-  auto queries = RandomVectors(nq, dim, 12);
-  auto index = MakeBruteForceIndex(GetParam());
-  ASSERT_TRUE(index->Build(data.data(), n, dim).ok());
-  for (size_t k : {1u, 5u, 20u, 1000u}) {  // 1000 clamps to n.
-    const float tol = GetParam() == Metric::kCosine ? 1e-5f : 0.0f;
-    ExpectBatchMatchesLoop(*index, queries.data(), nq, k, tol);
+  // 1001 rows: a multiple of neither the kernel's 4-row step nor any
+  // dim's L1 block, so every scan ends on a partial block and remainder.
+  const size_t nq = 37;
+  for (size_t dim : {24u, 32u, 64u, 300u}) {
+    for (size_t n : {700u, 1001u}) {
+      auto data = RandomVectors(n, dim, 11 + dim);
+      auto queries = RandomVectors(nq, dim, 12 + dim);
+      auto index = MakeBruteForceIndex(GetParam());
+      ASSERT_TRUE(index->Build(data.data(), n, dim).ok());
+      for (size_t k : {1u, 5u, 20u, 1000u}) {  // 1000 clamps to n = 700.
+        SCOPED_TRACE("dim=" + std::to_string(dim) + " n=" +
+                     std::to_string(n) + " k=" + std::to_string(k));
+        ExpectBatchMatchesLoop(*index, queries.data(), nq, k);
+      }
+    }
   }
 }
 
@@ -118,7 +184,7 @@ TEST(BatchSearchPropertyTest, HnswBatchEqualsLoop) {
     ASSERT_TRUE(index->Build(data.data(), n, dim).ok());
     for (size_t k : {1u, 10u}) {
       // HNSW batches through the base loop over Search.
-      ExpectBatchMatchesLoop(*index, queries.data(), nq, k, 0.0f);
+      ExpectBatchMatchesLoop(*index, queries.data(), nq, k);
     }
   }
 }
@@ -132,7 +198,7 @@ TEST(BatchSearchPropertyTest, IvfUsesDefaultLoopImplementation) {
   options.nprobe = 8;
   auto index = MakeIvfIndex(options);
   ASSERT_TRUE(index->Build(data.data(), n, dim).ok());
-  ExpectBatchMatchesLoop(*index, queries.data(), nq, 7, 0.0f);
+  ExpectBatchMatchesLoop(*index, queries.data(), nq, 7);
 }
 
 TEST(BatchSearchTest, Validation) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "datagen/tabular.h"
 
@@ -245,6 +248,46 @@ TEST_F(FeatureStoreTest, NearestEntitiesBatchMatchesLoop) {
   EXPECT_TRUE(missing[0].status().IsNotFound());
   EXPECT_TRUE(missing[1].status().IsNotFound());
   EXPECT_TRUE(store_.NearestEntitiesBatch("emb", {}, 2).empty());
+}
+
+TEST_F(FeatureStoreTest, NearestEntitiesRejectsZeroKAndClampsHugeK) {
+  // 10 rows of 4-d; k3 sits exactly on k1, so a neighbor at distance 0
+  // exists for a k = 0 query to leak.
+  Rng rng(9);
+  std::vector<std::string> keys;
+  std::vector<float> vectors;
+  for (int i = 0; i < 10; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    for (int j = 0; j < 4; ++j) {
+      vectors.push_back(static_cast<float>(rng.Gaussian()));
+    }
+  }
+  std::copy_n(vectors.begin() + 4, 4, vectors.begin() + 12);
+  EmbeddingTableMetadata metadata;
+  metadata.name = "emb";
+  ASSERT_TRUE(store_.RegisterEmbedding(
+      EmbeddingTable::Create(metadata, keys, vectors, 4).value()).ok());
+
+  auto zero = store_.NearestEntities("emb", "k3", 0);
+  EXPECT_TRUE(zero.status().IsInvalidArgument()) << zero.status();
+  EXPECT_NE(zero.status().message().find("k >= 1"), std::string::npos);
+  for (const auto& slot : store_.NearestEntitiesBatch("emb", {"k3", "k1"}, 0)) {
+    EXPECT_TRUE(slot.status().IsInvalidArgument()) << slot.status();
+  }
+
+  // k past the table (SIZE_MAX included) returns every other row.
+  for (size_t k : {size_t{10}, size_t{1000}, SIZE_MAX}) {
+    auto all = store_.NearestEntities("emb", "k3", k);
+    ASSERT_TRUE(all.ok()) << "k=" << k << ": " << all.status();
+    ASSERT_EQ(all->size(), 9u) << k;
+    EXPECT_EQ((*all)[0].first, "k1");
+    EXPECT_EQ((*all)[0].second, 0.0f);
+    for (const auto& [key, distance] : *all) EXPECT_NE(key, "k3");
+    auto batch = store_.NearestEntitiesBatch("emb", {"k3", "k0"}, k);
+    ASSERT_TRUE(batch[0].ok() && batch[1].ok()) << k;
+    EXPECT_EQ(*batch[0], *all);
+    EXPECT_EQ(batch[1]->size(), 9u);
+  }
 }
 
 TEST_F(FeatureStoreTest, AnnCacheStaysBoundedAcrossReregistrations) {

@@ -555,42 +555,55 @@ TEST_F(TieredEmbeddingTest, SupersededBitsDemoteHistoryToCoarserPacking) {
 }
 
 TEST_F(TieredEmbeddingTest, TieredBruteMatchesResidentBruteBitwise) {
-  const size_t n = 500, dim = 12, block_rows = 64;
-  auto source = ResidentTable("emb", n, dim);
-  const size_t budget = 3 * block_rows * dim * sizeof(float);  // 3/8 hot.
-  auto tiered = EmbeddingTable::CreateTiered(
-                    *source, TierOptions(budget, 8, block_rows))
-                    .value();
-  // The reference: a resident brute-force index over the *served* values.
-  auto served = tiered->Materialize().value();
-  auto queries = GaussianData(40, dim, 99);
+  struct Case {
+    const char* name;
+    size_t n, dim, block_rows;
+  };
+  // 12-d: 8 tier blocks, the last of 52 rows. 64-d: 100-row tier blocks
+  // span more than one of the scan's L1 blocks, and the last tier block
+  // (50 rows) is a multiple of neither.
+  for (const Case& c :
+       {Case{"emb", 500, 12, 64}, Case{"emb64", 450, 64, 100}}) {
+    SCOPED_TRACE(c.name);
+    const size_t n = c.n, dim = c.dim, block_rows = c.block_rows;
+    auto source = ResidentTable(c.name, n, dim);
+    const size_t budget = 3 * block_rows * dim * sizeof(float);  // 3 hot.
+    auto tiered = EmbeddingTable::CreateTiered(
+                      *source, TierOptions(budget, 8, block_rows))
+                      .value();
+    // The reference: a resident brute-force index over the *served* values.
+    auto served = tiered->Materialize().value();
+    auto queries = GaussianData(40, dim, 99);
 
-  for (Metric metric : {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
-    auto brute = MakeBruteForceIndex(metric);
-    ASSERT_TRUE(brute->Build(served->raw().data(), n, dim).ok());
-    auto scan = MakeTieredBruteForceIndex(tiered, metric);
-    ASSERT_TRUE(scan->Build(nullptr, 0, 0).ok());
+    for (Metric metric :
+         {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+      auto brute = MakeBruteForceIndex(metric);
+      ASSERT_TRUE(brute->Build(served->raw().data(), n, dim).ok());
+      auto scan = MakeTieredBruteForceIndex(tiered, metric);
+      ASSERT_TRUE(scan->Build(nullptr, 0, 0).ok());
 
-    auto want = brute->Search(queries.data(), 10).value();
-    auto got = scan->Search(queries.data(), 10).value();
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].id) << static_cast<int>(metric);
-      EXPECT_EQ(got[i].distance, want[i].distance) << static_cast<int>(metric);
-    }
-
-    auto want_batch = brute->BatchSearch(queries.data(), 40, 5).value();
-    auto got_batch = scan->BatchSearch(queries.data(), 40, 5).value();
-    ASSERT_EQ(got_batch.size(), want_batch.size());
-    for (size_t q = 0; q < want_batch.size(); ++q) {
-      ASSERT_EQ(got_batch[q].size(), want_batch[q].size());
-      for (size_t i = 0; i < want_batch[q].size(); ++i) {
-        EXPECT_EQ(got_batch[q][i].id, want_batch[q][i].id);
-        EXPECT_EQ(got_batch[q][i].distance, want_batch[q][i].distance);
+      auto want = brute->Search(queries.data(), 10).value();
+      auto got = scan->Search(queries.data(), 10).value();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << static_cast<int>(metric);
+        EXPECT_EQ(got[i].distance, want[i].distance)
+            << static_cast<int>(metric);
       }
+
+      auto want_batch = brute->BatchSearch(queries.data(), 40, 5).value();
+      auto got_batch = scan->BatchSearch(queries.data(), 40, 5).value();
+      ASSERT_EQ(got_batch.size(), want_batch.size());
+      for (size_t q = 0; q < want_batch.size(); ++q) {
+        ASSERT_EQ(got_batch[q].size(), want_batch[q].size());
+        for (size_t i = 0; i < want_batch[q].size(); ++i) {
+          EXPECT_EQ(got_batch[q][i].id, want_batch[q][i].id);
+          EXPECT_EQ(got_batch[q][i].distance, want_batch[q][i].distance);
+        }
+      }
+      // Searching must not have grown the hot set (scan resistance).
+      EXPECT_EQ(tiered->tier()->stats().hot_blocks, 3u);
     }
-    // Searching must not have grown the hot set (scan resistance).
-    EXPECT_EQ(tiered->tier()->stats().hot_blocks, 3u);
   }
 }
 
