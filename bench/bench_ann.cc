@@ -137,6 +137,13 @@ BENCHMARK(BM_HnswBatchSearch)
 
 // --- Tiered degradation fixtures (one per hot fraction) -------------------
 
+// Where every TieredFixture writes its tier file. main removes it once the
+// benchmarks have run; the fixtures' mappings outlive the unlink.
+std::filesystem::path TierDir() {
+  return std::filesystem::temp_directory_path() /
+         ("mlfs_bench_tier_" + std::to_string(::getpid()));
+}
+
 struct TieredFixture {
   EmbeddingTablePtr table;
   std::unique_ptr<AnnIndex> index;  // Tiered brute-force scan.
@@ -156,9 +163,7 @@ struct TieredFixture {
         base.n * base.dim * sizeof(float) * hot_pct / 100;
     options.bits = 8;
     options.block_rows = 256;
-    options.dir = (std::filesystem::temp_directory_path() /
-                   ("mlfs_bench_tier_" + std::to_string(::getpid())))
-                      .string();
+    options.dir = TierDir().string();
     std::filesystem::create_directories(options.dir);
     table = EmbeddingTable::CreateTiered(*resident, options).value();
     index = MakeTieredBruteForceIndex(table, Metric::kL2);
@@ -362,5 +367,7 @@ int main(int argc, char** argv) {
       "this shared host is wide: read the shape across hot_pct and batch "
       "size, not absolute throughput");
   benchmark::RunSpecifiedBenchmarks();
+  std::error_code ec;
+  std::filesystem::remove_all(mlfs::TierDir(), ec);
   return 0;
 }

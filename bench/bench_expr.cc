@@ -197,29 +197,6 @@ std::vector<Row> FilterRows(std::vector<Row> rows, const CompiledExpr& pred,
   return out;
 }
 
-// Reference path: materialize every latest row, then evaluate each row as
-// a batch of one.
-void BM_MaterializeRowAtATime(benchmark::State& state) {
-  StoreFixture& f = Fixture();
-  auto compiled =
-      CompiledExpr::Compile(kFeatureExpr, f.table->options().schema).value();
-  ExprScratch scratch;
-  for (auto _ : state) {
-    std::vector<Row> latest = f.table->LatestPerEntityAsOf(kMaxTimestamp);
-    size_t nulls = 0;
-    for (const Row& row : latest) {
-      auto v = compiled.Eval(row, &scratch);
-      nulls += v.ok() && v->is_null();
-      benchmark::DoNotOptimize(v);
-    }
-    benchmark::DoNotOptimize(nulls);
-    state.counters["entities"] = static_cast<double>(latest.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kStoreEntities));
-}
-BENCHMARK(BM_MaterializeRowAtATime);
-
 // Batch path: sealed segments evaluate column-at-a-time; no full-width
 // row materialization.
 void BM_MaterializeBatch(benchmark::State& state) {

@@ -49,6 +49,12 @@ constexpr size_t kRequests = 8192;
 
 enum Tier : int64_t { kRowTier = 0, kSealedTier = 1, kSpilledTier = 2 };
 
+// Where the spilled tables write their segment files. main removes it once
+// the benchmarks have run; the tables' mappings outlive the unlink.
+std::filesystem::path SpillDir() {
+  return std::filesystem::temp_directory_path() / "mlfs_bench_offline_scan";
+}
+
 SchemaPtr WideSchema() {
   return Schema::Create({{"entity", FeatureType::kInt64, false},
                          {"event_time", FeatureType::kTimestamp, false},
@@ -93,9 +99,7 @@ struct ScanFixture {
            Value::Embedding(std::move(vec))}));
     }
 
-    spill_dir =
-        (std::filesystem::temp_directory_path() / "mlfs_bench_offline_scan")
-            .string();
+    spill_dir = SpillDir().string();
     for (int64_t tier : {kRowTier, kSealedTier, kSpilledTier}) {
       OfflineTableOptions options;
       options.name = "events_" + std::to_string(tier);
@@ -369,4 +373,12 @@ BENCHMARK(BM_CompactPartition)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace mlfs
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  std::error_code ec;
+  std::filesystem::remove_all(mlfs::SpillDir(), ec);
+  benchmark::Shutdown();
+  return 0;
+}

@@ -21,6 +21,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "pit_reference.h"
 #include "serving/point_in_time.h"
 #include "storage/offline_store.h"
 
@@ -101,8 +102,8 @@ JoinFixture& Fixture() {
   return *fixture;
 }
 
-// Row-at-a-time baseline: one locked OfflineTable::AsOf per spine row per
-// source.
+// Row-at-a-time baseline (tests/pit_reference.h): one OfflineTable::AsOf,
+// a batch of one, per spine row per source.
 void BM_ReferenceJoin(benchmark::State& state) {
   auto& fixture = Fixture();
   const std::vector<Row> spine =

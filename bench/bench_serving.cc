@@ -286,6 +286,7 @@ void BM_OnlineGet(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineGet);
 
+// One offline point-in-time read: AsOf, a one-request AsOfBatch.
 void BM_OfflineAsOf(benchmark::State& state) {
   auto& fixture = Fixture();
   Rng rng(3);
@@ -299,20 +300,6 @@ void BM_OfflineAsOf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OfflineAsOf);
-
-void BM_OfflineLatestPerEntityScan(benchmark::State& state) {
-  // The "no online store" strawman: answer a single lookup by scanning the
-  // latest snapshot of everything (what a naive warehouse query does).
-  auto& fixture = Fixture();
-  auto table = fixture.store.offline().GetTable("src").value();
-  Timestamp now = fixture.store.clock().now();
-  for (auto _ : state) {
-    auto rows = table->LatestPerEntityAsOf(now);
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_OfflineLatestPerEntityScan)->Iterations(3);
 
 void BM_FeatureServerGet(benchmark::State& state) {
   auto& fixture = Fixture();

@@ -104,16 +104,18 @@ __attribute__((target("avx2,fma"), always_inline)) inline __m256 Accumulate(
   }
 }
 
-/// The scalar tail past the last 8-lane step, added onto `sum`.
+/// The scalar tail past the last 8-lane step, added onto `sum` with one
+/// explicit fused multiply-add per element, so the bits do not depend on
+/// whether the optimizer would have contracted `sum += x * y` itself.
 template <bool kL2>
 __attribute__((target("avx2,fma"), always_inline)) inline float Tail(
     const float* a, const float* b, size_t j, size_t dim, float sum) {
   for (; j < dim; ++j) {
     if constexpr (kL2) {
-      float d = a[j] - b[j];
-      sum += d * d;
+      const float d = a[j] - b[j];
+      sum = __builtin_fmaf(d, d, sum);
     } else {
-      sum += a[j] * b[j];
+      sum = __builtin_fmaf(a[j], b[j], sum);
     }
   }
   return sum;

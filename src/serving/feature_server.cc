@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/failpoint.h"
 #include "expr/bytecode.h"
@@ -173,15 +172,6 @@ FeatureServer::FeatureServer(const OnlineStore* store,
       options_(options),
       metrics_(kMetricsStripes) {}
 
-EmbeddingTablePtr FeatureServer::ResolveEmbeddingFeature(
-    const std::string& feature) const {
-  // Online views win: a materialized view named like an embedding keeps
-  // its pre-hydration behavior.
-  if (embeddings_ == nullptr || store_->HasView(feature)) return nullptr;
-  auto table = embeddings_->Resolve(feature);
-  return table.ok() ? *table : nullptr;
-}
-
 std::string FeatureServer::StaleNoteArtifact(const std::string& feature,
                                              const ArtifactId& artifact) const {
   if (lineage_ == nullptr) return "";
@@ -198,20 +188,32 @@ std::string FeatureServer::StaleNote(const std::string& feature,
                                 : ViewArtifact(feature));
 }
 
-std::optional<FeatureServer::ComputedFeature>
-FeatureServer::ResolveComputedFeature(const std::string& feature) const {
-  // Materialized views and embeddings win, preserving their pre-registry
-  // serving behavior; request-time evaluation only backs names that
-  // nothing else serves.
-  if (registry_ == nullptr || store_->HasView(feature)) return std::nullopt;
-  if (ResolveEmbeddingFeature(feature) != nullptr) return std::nullopt;
-  StatusOr<RegisteredFeature> reg = registry_->Get(feature);
-  if (!reg.ok()) return std::nullopt;
-  ComputedFeature out;
-  out.reg = std::move(*reg);
-  out.mirror_view = SourceMirrorViewName(out.reg.def.source_table);
-  out.program = CompiledProgramFor(out.reg);
-  return out;
+FeatureServer::FeatureRoute FeatureServer::Route(
+    const std::string& feature) const {
+  // Online views win: a materialized view named like an embedding or a
+  // registered feature keeps its pre-hydration behavior, and request-time
+  // evaluation only backs names that nothing else serves. A server with
+  // neither an embedding store nor a registry serves every name as a view.
+  FeatureRoute route;
+  if (embeddings_ == nullptr && registry_ == nullptr) return route;
+  if (store_->HasView(feature)) return route;
+  if (embeddings_ != nullptr) {
+    auto table = embeddings_->Resolve(feature);
+    if (table.ok()) {
+      route.embedding = std::move(*table);
+      return route;
+    }
+  }
+  if (registry_ != nullptr) {
+    StatusOr<RegisteredFeature> reg = registry_->Get(feature);
+    if (reg.ok()) {
+      ComputedFeature& comp = route.computed.emplace();
+      comp.reg = std::move(*reg);
+      comp.mirror_view = SourceMirrorViewName(comp.reg.def.source_table);
+      comp.program = CompiledProgramFor(comp.reg);
+    }
+  }
+  return route;
 }
 
 std::shared_ptr<const Program> FeatureServer::CompiledProgramFor(
@@ -256,10 +258,6 @@ std::vector<StatusOr<Row>> FeatureServer::FetchRows(
                                IsTransient(rows[i].status()) &&
                                attempt < max_attempts;
          ++attempt) {
-      if (options_.initial_backoff_micros > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            options_.initial_backoff_micros << (attempt - 1)));
-      }
       ++retries;
       rows[i] = store_->Get(view, keys[i], now);
     }
@@ -291,7 +289,8 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
   for (size_t j = 0; j < features.size(); ++j) {
     const std::string& feature = features[j];
     FeatureColumn& column = columns[j];
-    if (std::optional<ComputedFeature> comp = ResolveComputedFeature(feature)) {
+    const FeatureRoute route = Route(feature);
+    if (const std::optional<ComputedFeature>& comp = route.computed) {
       column.stale_note = StaleNoteArtifact(
           feature, FeatureArtifact(comp->reg.def.name, comp->reg.version));
       if (comp->program == nullptr) {  // Mirror view does not exist yet.
@@ -307,9 +306,9 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
       column.cells = ComputedCells(*comp->program,
                                    comp->reg.source_time_column,
                                    mirror->second);
-    } else if (EmbeddingTablePtr table = ResolveEmbeddingFeature(feature)) {
-      column.stale_note = StaleNote(feature, table);
-      column.cells = EmbeddingCells(*table, entity_keys);
+    } else if (route.embedding != nullptr) {
+      column.stale_note = StaleNote(feature, route.embedding);
+      column.cells = EmbeddingCells(*route.embedding, entity_keys);
     } else {
       column.stale_note = StaleNote(feature, nullptr);
       column.cells = ViewCells(feature, FetchRows(feature, entity_keys, now));

@@ -32,11 +32,9 @@ struct FeatureServerOptions {
   MissingFeaturePolicy missing_policy = MissingFeaturePolicy::kNull;
   /// Store reads per feature before giving up on a *transient* error
   /// (Internal / ResourceExhausted / Corruption): 1 means no retries.
-  /// Non-transient errors (NotFound, InvalidArgument, ...) never retry.
+  /// Retries are immediate. Non-transient errors (NotFound,
+  /// InvalidArgument, ...) never retry.
   uint32_t max_attempts = 1;
-  /// Real-time backoff before retry k: initial_backoff_micros << (k-1).
-  /// 0 disables sleeping (retries stay back-to-back; keep 0 in unit tests).
-  uint64_t initial_backoff_micros = 0;
 };
 
 /// Traffic and resilience counters for one FeatureServer.
@@ -74,8 +72,8 @@ struct FeatureVector {
 /// materializer (schema {entity, event_time, value}).
 ///
 /// Transient store errors (as injected by failpoints, or surfaced by a
-/// future disk/remote backend) are retried up to options.max_attempts with
-/// exponential backoff; when retries are exhausted the server degrades
+/// future disk/remote backend) are retried up to options.max_attempts
+/// reads; when retries are exhausted the server degrades
 /// gracefully per MissingFeaturePolicy instead of failing the request
 /// (kNull fills NULL so the model can impute). stats() exposes
 /// retry/degradation counters for alerting.
@@ -174,14 +172,10 @@ class FeatureServer {
   void RecordLatency(double micros, uint64_t num_requests) const;
 
   /// One shard-grouped MultiGet of `view`, then up to max_attempts reads
-  /// (with backoff) of each entity whose read failed transiently.
+  /// of each entity whose read failed transiently.
   std::vector<StatusOr<Row>> FetchRows(const std::string& view,
                                        const std::vector<Value>& keys,
                                        Timestamp now) const;
-
-  /// Resolved embedding table for a requested feature name, or null when
-  /// the name should go through the online-view path.
-  EmbeddingTablePtr ResolveEmbeddingFeature(const std::string& feature) const;
 
   /// A feature served by evaluating its published definition at request
   /// time against the source table's mirror view.
@@ -193,11 +187,18 @@ class FeatureServer {
     std::shared_ptr<const Program> program;
   };
 
-  /// Resolves `feature` as serving-time computed: registered in
-  /// `registry_`, not an online view, not an embedding. nullopt sends the
-  /// name down the other paths.
-  std::optional<ComputedFeature> ResolveComputedFeature(
-      const std::string& feature) const;
+  /// How one requested feature is served: from an embedding table, by
+  /// evaluating its registered definition, or (neither set) from the
+  /// online view of that name.
+  struct FeatureRoute {
+    EmbeddingTablePtr embedding;
+    std::optional<ComputedFeature> computed;
+  };
+
+  /// Resolves `feature` once, first match wins: an online view, then an
+  /// embedding in `embeddings_`, then a definition in `registry_`. A name
+  /// none of them knows takes the view path and misses there.
+  FeatureRoute Route(const std::string& feature) const;
 
   /// Cached (compiling on first use) program for `reg`, keyed "name@vN".
   std::shared_ptr<const Program> CompiledProgramFor(
@@ -208,7 +209,7 @@ class FeatureServer {
                                 const ArtifactId& artifact) const;
 
   /// As above for the view/embedding serving artifact behind `feature`.
-  /// `table` is the resolved embedding table, or null for the online-view
+  /// `table` is the routed embedding table, or null for the online-view
   /// path.
   std::string StaleNote(const std::string& feature,
                         const EmbeddingTablePtr& table) const;

@@ -98,74 +98,6 @@ StatusOr<std::pair<SchemaPtr, std::vector<ResolvedSource>>> PrepareJoin(
   return std::make_pair(std::move(out_schema), std::move(resolved));
 }
 
-// Row-at-a-time oracle: one locked AsOf per spine row per source. Kept as
-// the reference the merge-join engine must reproduce byte-for-byte.
-StatusOr<TrainingSet> ReferenceJoinImpl(const std::vector<Row>& spine,
-                                        const std::string& spine_entity_column,
-                                        const std::string& spine_time_column,
-                                        const std::vector<JoinSource>& sources,
-                                        bool point_in_time) {
-  if (spine.empty()) {
-    return Status::InvalidArgument("spine is empty");
-  }
-  if (spine.front().schema() == nullptr) {
-    return Status::InvalidArgument("spine rows have no schema");
-  }
-  {
-    int eidx = spine.front().schema()->FieldIndex(spine_entity_column);
-    int tidx = spine.front().schema()->FieldIndex(spine_time_column);
-    if (eidx < 0 || tidx < 0) {
-      return Status::InvalidArgument("spine is missing entity/time column");
-    }
-    if (spine.front().schema()->field(tidx).type != FeatureType::kTimestamp) {
-      return Status::InvalidArgument("spine time column is not a TIMESTAMP");
-    }
-  }
-  MLFS_ASSIGN_OR_RETURN(auto prepared,
-                        PrepareJoin(spine.front().schema(), sources));
-  SchemaPtr out_schema = std::move(prepared.first);
-  std::vector<ResolvedSource> resolved = std::move(prepared.second);
-  const SchemaPtr& spine_schema = spine.front().schema();
-  int spine_entity_idx = spine_schema->FieldIndex(spine_entity_column);
-  int spine_time_idx = spine_schema->FieldIndex(spine_time_column);
-
-  TrainingSet out;
-  out.schema = out_schema;
-  out.rows.reserve(spine.size());
-  for (const Row& spine_row : spine) {
-    if (spine_row.schema() == nullptr ||
-        !(*spine_row.schema() == *spine_schema)) {
-      return Status::InvalidArgument("spine rows have mixed schemas");
-    }
-    const Value& entity = spine_row.value(spine_entity_idx);
-    Timestamp t = spine_row.value(spine_time_idx).time_value();
-
-    std::vector<Value> values = spine_row.values();
-    for (const ResolvedSource& rs : resolved) {
-      StatusOr<Row> source_row =
-          rs.table->AsOf(entity, point_in_time ? t : kMaxTimestamp);
-      bool usable = source_row.ok();
-      if (usable && point_in_time && rs.max_age > 0) {
-        Timestamp event_time =
-            source_row->value(rs.time_idx).time_value();
-        usable = event_time >= t - rs.max_age;
-      }
-      for (int idx : rs.column_indices) {
-        if (usable) {
-          values.push_back(source_row->value(idx));
-        } else {
-          values.push_back(Value::Null());
-          ++out.missing_cells;
-        }
-      }
-    }
-    MLFS_ASSIGN_OR_RETURN(Row row,
-                          Row::Create(out_schema, std::move(values)));
-    out.rows.push_back(std::move(row));
-  }
-  return out;
-}
-
 // First (up to) 8 key bytes packed big-endian, so a single integer compare
 // resolves most key orderings before falling back to byte-wise compare.
 // prefix(a) < prefix(b) implies a < b lexicographically; equality falls
@@ -179,8 +111,8 @@ uint64_t KeyPrefix(const std::string& key) {
 }
 
 // Batched sort-merge as-of join (see point_in_time.h). Produces output
-// identical to ReferenceJoinImpl; the pit_merge and columnar property
-// suites pin it.
+// identical to the row-at-a-time reference joins in tests/pit_reference.h;
+// the pit_merge and columnar property suites pin it.
 StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
                                     const std::vector<JoinSource>& sources,
                                     bool point_in_time,
@@ -225,21 +157,18 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
       start = stop;
     }
   }
+  // One default-constructed row per request per source; a miss leaves its
+  // row untouched (schema null).
   std::vector<std::vector<Row>> source_rows(resolved.size());
   for (auto& rows : source_rows) rows.resize(m);
   const size_t num_tasks = resolved.size() * shards.size();
   std::vector<Status> task_status(num_tasks);
-  // Each task fills a private miss bitmap for its shard (bitmap words at
-  // shard boundaries would be shared between tasks otherwise); the shard
-  // bitmaps are stitched into one per-source bitmap after the barrier.
-  std::vector<std::vector<uint64_t>> task_miss(num_tasks);
   ParallelFor(pool.get(), 0, num_tasks, [&](size_t task) {
     const size_t s = task / shards.size();
     const auto [start, stop] = shards[task % shards.size()];
     AsOfReadOptions read_options;
     read_options.columns = resolved[s].proj;
     read_options.projected_schema = resolved[s].proj_schema;
-    read_options.miss_bitmap = &task_miss[task];
     task_status[task] = resolved[s].table->AsOfBatch(
         std::span<const AsOfRequest>(requests.data() + start, stop - start),
         std::span<Row>(source_rows[s].data() + start, stop - start),
@@ -247,17 +176,6 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
   });
   for (Status& s : task_status) {
     MLFS_RETURN_IF_ERROR(std::move(s));
-  }
-  std::vector<std::vector<uint64_t>> source_miss(
-      resolved.size(), std::vector<uint64_t>((m + 63) / 64, 0));
-  for (size_t task = 0; task < num_tasks; ++task) {
-    const size_t s = task / shards.size();
-    const auto [start, stop] = shards[task % shards.size()];
-    for (size_t i = start; i < stop; ++i) {
-      if (MissBitmapTest(task_miss[task], i - start)) {
-        source_miss[s][i >> 6] |= uint64_t{1} << (i & 63);
-      }
-    }
   }
 
   // 3. Assemble output rows in spine order: reserve the full output width
@@ -312,11 +230,10 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
     const uint32_t pos = pos_of_row[r];
     for (size_t s = 0; s < resolved.size(); ++s) {
       const ResolvedSource& rs = resolved[s];
-      // A miss never materialized a result row — the batch read reported
-      // it through the bitmap instead, and the null-fill happens here.
-      bool usable =
-          pos != kNoRequest && !MissBitmapTest(source_miss[s], pos);
-      const Row* src = usable ? &source_rows[s][pos] : nullptr;
+      // The batch read left a missed row default-constructed; the
+      // null-fill happens here.
+      const Row* src = pos != kNoRequest ? &source_rows[s][pos] : nullptr;
+      bool usable = src != nullptr && src->schema() != nullptr;
       if (usable && point_in_time && rs.max_age > 0) {
         Timestamp event_time = src->value(rs.time_pos).time_value();
         usable = event_time >= times[r] - rs.max_age;
@@ -451,22 +368,6 @@ StatusOr<TrainingSet> NaiveLatestJoin(const SpineIndex& spine,
                                       const std::vector<JoinSource>& sources,
                                       const JoinOptions& options) {
   return MergeJoinImpl(spine, sources, /*point_in_time=*/false, options);
-}
-
-StatusOr<TrainingSet> PointInTimeJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources) {
-  return ReferenceJoinImpl(spine, spine_entity_column, spine_time_column,
-                           sources, /*point_in_time=*/true);
-}
-
-StatusOr<TrainingSet> NaiveLatestJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources) {
-  return ReferenceJoinImpl(spine, spine_entity_column, spine_time_column,
-                           sources, /*point_in_time=*/false);
 }
 
 StatusOr<uint64_t> CountDivergentCells(const TrainingSet& reference,

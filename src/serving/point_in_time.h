@@ -110,8 +110,9 @@ class SpineIndex {
 /// (key, ts), and each source is answered with OfflineTable::AsOfBatch
 /// calls — one shared-lock acquisition per shard instead of one per spine
 /// row per source. `options` fans work out across sources and entity-range
-/// shards. Output is identical to the retained row-at-a-time reference
-/// (PointInTimeJoinReference), which a property test enforces.
+/// shards. Output is identical to the row-at-a-time reference join (one
+/// OfflineTable::AsOf per spine row per source, in tests/pit_reference.h),
+/// which the property suites enforce.
 StatusOr<TrainingSet> PointInTimeJoin(const std::vector<Row>& spine,
                                       const std::string& spine_entity_column,
                                       const std::string& spine_time_column,
@@ -138,20 +139,6 @@ StatusOr<TrainingSet> NaiveLatestJoin(const std::vector<Row>& spine,
 StatusOr<TrainingSet> NaiveLatestJoin(const SpineIndex& spine,
                                       const std::vector<JoinSource>& sources,
                                       const JoinOptions& options = {});
-
-/// Row-at-a-time reference implementations: one locked OfflineTable::AsOf
-/// per spine row per source. Retained as the correctness oracle for the
-/// merge-join property suite and as the baseline in bench_pit_join; not a
-/// serving path.
-StatusOr<TrainingSet> PointInTimeJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources);
-
-StatusOr<TrainingSet> NaiveLatestJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources);
 
 /// Counts cells in `candidate` whose value differs from the leakage-free
 /// reference join (same shape required): a measure of silent training bias.

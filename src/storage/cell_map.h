@@ -22,7 +22,6 @@ namespace mlfs {
 struct OnlineCell {
   Row row;
   Timestamp event_time = 0;
-  Timestamp write_time = 0;
   Timestamp expires_at = 0;  // kMaxTimestamp when no TTL.
 };
 

@@ -98,14 +98,6 @@ OfflineTable::RowLoc OfflineTable::Resolve(const Partition& part,
   return loc;
 }
 
-Row OfflineTable::MaterializeRow(const RowLoc& loc) const {
-  if (loc.head != nullptr) return *loc.head;
-  std::vector<Value> values;
-  values.reserve(all_columns_.size());
-  loc.seg->AppendProjected(loc.seg_row, all_columns_, &values);
-  return Row::CreateUnsafe(options_.schema, std::move(values));
-}
-
 Status OfflineTable::SealPartitionLocked(int64_t pid, Partition& part) {
   if (part.head_rows.empty()) return Status::OK();
   MLFS_ASSIGN_OR_RETURN(
@@ -361,24 +353,15 @@ StatusOr<std::vector<Row>> OfflineTable::Scan(const ScanSpec& spec) const {
 }
 
 StatusOr<Row> OfflineTable::AsOf(const Value& entity_key, Timestamp ts) const {
-  MLFS_FAILPOINT("offline_store.as_of");
   MLFS_ASSIGN_OR_RETURN(std::string key, EntityKeyToString(entity_key));
-  std::shared_lock lock(mu_);
-  auto dit = key_directory_.find(key);
-  if (dit != key_directory_.end()) {
-    const std::vector<GlobalPosting>& merged = dit->second;
-    // Rightmost posting with posting.ts <= ts: max event time, with the
-    // most-recently-appended row winning equal-timestamp ties.
-    auto bit = std::upper_bound(
-        merged.begin(), merged.end(), ts,
-        [](Timestamp t, const GlobalPosting& g) { return t < g.ts; });
-    if (bit != merged.begin()) {
-      --bit;
-      return MaterializeRow(Resolve(*bit->part, bit->ordinal));
-    }
+  const AsOfRequest request{key, ts};
+  Row row;
+  MLFS_RETURN_IF_ERROR(AsOfBatch({&request, 1}, {&row, 1}));
+  if (row.schema() == nullptr) {
+    return Status::NotFound("no row for entity '" + key + "' as of " +
+                            FormatTimestamp(ts));
   }
-  return Status::NotFound("no row for entity '" + key + "' as of " +
-                          FormatTimestamp(ts));
+  return row;
 }
 
 Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
@@ -512,17 +495,6 @@ OfflineTable::LatestPostingsLocked(Timestamp ts) const {
   return out;
 }
 
-std::vector<Row> OfflineTable::LatestPerEntityAsOf(Timestamp ts) const {
-  std::shared_lock lock(mu_);
-  const std::vector<const GlobalPosting*> hits = LatestPostingsLocked(ts);
-  std::vector<Row> out;
-  out.reserve(hits.size());
-  for (const GlobalPosting* posting : hits) {
-    out.push_back(MaterializeRow(Resolve(*posting->part, posting->ordinal)));
-  }
-  return out;
-}
-
 StatusOr<std::vector<MaterializedCell>> OfflineTable::EvalLatestPerEntityAsOf(
     Timestamp ts, const CompiledExpr& expr) const {
   MLFS_RETURN_IF_ERROR(ValidateCompiled(expr, /*need_bool=*/false));
@@ -583,21 +555,6 @@ StatusOr<std::vector<MaterializedCell>> OfflineTable::EvalLatestPerEntityAsOf(
     }
   }
   return out;
-}
-
-std::vector<std::string> OfflineTable::EntityKeys() const {
-  std::shared_lock lock(mu_);
-  std::lock_guard cache_lock(keys_mu_);
-  // The key directory holds every distinct key exactly once, and keys are
-  // never removed — so the sorted cache is current iff the sizes match,
-  // and the sort runs once per batch of new keys instead of once per call.
-  if (keys_cache_.size() != key_directory_.size()) {
-    keys_cache_.clear();
-    keys_cache_.reserve(key_directory_.size());
-    for (const auto& [key, runs] : key_directory_) keys_cache_.push_back(key);
-    std::sort(keys_cache_.begin(), keys_cache_.end());
-  }
-  return keys_cache_;
 }
 
 size_t OfflineTable::num_rows() const {

@@ -45,8 +45,9 @@ struct AsOfReadOptions {
   SchemaPtr projected_schema;
   /// When set, receives one bit per request (bit i of word i/64): 1 means
   /// the request missed (no history at its timestamp). Missed slots of
-  /// `results` are left untouched — no empty row is materialized — so
-  /// callers null-fill from the bitmap instead of probing result rows.
+  /// `results` are left untouched either way — no empty row is
+  /// materialized — so a caller that passes default-constructed rows can
+  /// test `schema() != nullptr` instead.
   std::vector<uint64_t>* miss_bitmap = nullptr;
 };
 
@@ -137,10 +138,10 @@ struct OfflineStorageStats {
 /// "offline store" half of the feature store's dual datastore (paper
 /// §2.2.2, e.g. a SQL warehouse). Backfills append to it; training-set
 /// construction and materialization read from it. Range reads go through
-/// one Scan(ScanSpec); per-entity *as-of* (point-in-time) reads — AsOf,
-/// AsOfBatch, LatestPerEntityAsOf, EvalLatestPerEntityAsOf — all resolve
-/// through one key directory: per entity, a single ts-sorted posting list
-/// merged across partitions.
+/// one Scan(ScanSpec); *as-of* (point-in-time) reads go through AsOfBatch
+/// (AsOf is a batch of one) and materialization through
+/// EvalLatestPerEntityAsOf, both resolved by one key directory: per entity,
+/// a single ts-sorted posting list merged across partitions.
 ///
 /// Storage is tiered: each partition is a mutable row-oriented head that
 /// seals into immutable column-major segments (dictionary strings,
@@ -180,7 +181,9 @@ class OfflineTable {
   StatusOr<std::vector<Row>> Scan(const ScanSpec& spec) const;
 
   /// The most recent row for `entity_key` with event_time <= ts
-  /// (point-in-time read). NotFound if the entity has no history at ts.
+  /// (point-in-time read): a one-request, full-width AsOfBatch on the
+  /// canonical key. NotFound if the entity has no history at ts;
+  /// InvalidArgument if the key is not INT64/STRING.
   StatusOr<Row> AsOf(const Value& entity_key, Timestamp ts) const;
 
   /// Batched point-in-time reads: the offline half of the training hot
@@ -190,8 +193,8 @@ class OfflineTable {
   /// cursor walk. `results[i]` receives the matched row — a head-row copy
   /// or a columnar gather — or is left untouched on a miss: callers either
   /// pass `options.miss_bitmap` or test `results[i].schema() != nullptr`
-  /// against default-constructed inputs. Tie-break matches AsOf: for equal
-  /// event times the most recently appended row wins. With
+  /// against default-constructed inputs. For equal event times the most
+  /// recently appended row wins. With
   /// `options.columns` set, results conform to `options.projected_schema`
   /// and only those columns are gathered.
   ///
@@ -202,22 +205,15 @@ class OfflineTable {
                    std::span<Row> results,
                    const AsOfReadOptions& options = {}) const;
 
-  /// Latest row per entity as of `ts` — the materialization query that
-  /// loads the online store.
-  std::vector<Row> LatestPerEntityAsOf(Timestamp ts) const;
-
-  /// Batch materialization read: selects the same rows as
-  /// LatestPerEntityAsOf and evaluates `expr` over them vectorized —
+  /// The materialization query that loads the online store: per entity,
+  /// its latest row as of `ts`, with `expr` evaluated over it vectorized —
   /// segment-resident rows straight over columnar buffers, head rows
   /// through a batched row source — without materializing full-width rows
-  /// on the sealed path. Results are in canonical entity-key order (the
-  /// order LatestPerEntityAsOf emits). `expr` must be compiled against the
-  /// table schema.
+  /// on the sealed path. One cell per entity with history at `ts`, in
+  /// ascending canonical key (EntityKeyToString) order. `expr` must be
+  /// compiled against the table schema.
   StatusOr<std::vector<MaterializedCell>> EvalLatestPerEntityAsOf(
       Timestamp ts, const CompiledExpr& expr) const;
-
-  /// All distinct entity keys (canonical string form).
-  std::vector<std::string> EntityKeys() const;
 
   // --- Tier maintenance -------------------------------------------------
 
@@ -344,7 +340,6 @@ class OfflineTable {
   /// the shared lock.
   std::vector<const GlobalPosting*> LatestPostingsLocked(Timestamp ts) const;
   static RowLoc Resolve(const Partition& part, size_t ordinal);
-  Row MaterializeRow(const RowLoc& loc) const;
   int64_t PartitionIdFor(Timestamp ts) const;
 
   OfflineTableOptions options_;
@@ -371,13 +366,6 @@ class OfflineTable {
   std::unordered_map<std::vector<GlobalPosting>*, size_t> unsorted_tails_;
   size_t num_rows_ = 0;
   Timestamp max_event_time_ = kMinTimestamp;
-
-  // EntityKeys() result cache. Keys are only ever added, so the cache is
-  // current iff its size matches the key directory's; appends invalidate
-  // it implicitly by growing the directory. Guarded by keys_mu_ (acquired
-  // after mu_, never the other way around).
-  mutable std::mutex keys_mu_;
-  mutable std::vector<std::string> keys_cache_;
 
   /// Sealed segments whose time range let a scan skip them whole.
   mutable std::atomic<uint64_t> scan_segments_skipped_{0};

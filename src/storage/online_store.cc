@@ -152,7 +152,7 @@ Status OnlineStore::Put(const std::string& view, const Value& entity_key,
     shard.approx_bytes -= cell->row.ByteSize();
   }
   shard.approx_bytes += row.ByteSize();
-  *cell = OnlineCell{std::move(row), event_time, write_time, expires_at};
+  *cell = OnlineCell{std::move(row), event_time, expires_at};
   return Status::OK();
 }
 
@@ -521,7 +521,8 @@ OnlineStoreStats OnlineStore::stats() const {
 
 namespace {
 constexpr uint32_t kOnlineSnapshotMagic = 0x4d4c4f4e;  // "MLON"
-constexpr uint32_t kOnlineSnapshotVersion = 2;  // v2: Checksum64 trailer.
+// v2: Checksum64 trailer; v3: cells carry no write time.
+constexpr uint32_t kOnlineSnapshotVersion = 3;
 }  // namespace
 
 std::string OnlineStore::Snapshot() const {
@@ -543,7 +544,6 @@ std::string OnlineStore::Snapshot() const {
                              const OnlineCell& cell) {
       enc.PutString(full_key);
       enc.PutFixed64(static_cast<uint64_t>(cell.event_time));
-      enc.PutFixed64(static_cast<uint64_t>(cell.write_time));
       enc.PutFixed64(static_cast<uint64_t>(cell.expires_at));
       enc.PutRow(cell.row);
     });
@@ -578,7 +578,6 @@ Status OnlineStore::Restore(std::string_view snapshot) {
       }
       std::string view = full_key.substr(0, sep);
       MLFS_ASSIGN_OR_RETURN(uint64_t event_time, dec.GetFixed64());
-      MLFS_ASSIGN_OR_RETURN(uint64_t write_time, dec.GetFixed64());
       MLFS_ASSIGN_OR_RETURN(uint64_t expires_at, dec.GetFixed64());
       MLFS_ASSIGN_OR_RETURN(SchemaPtr schema, ViewSchema(view));
       MLFS_ASSIGN_OR_RETURN(Row row, dec.GetRow(schema));
@@ -595,7 +594,6 @@ Status OnlineStore::Restore(std::string_view snapshot) {
       if (inserted) {
         shard.approx_bytes += row.ByteSize();
         *cell = OnlineCell{std::move(row), static_cast<Timestamp>(event_time),
-                           static_cast<Timestamp>(write_time),
                            static_cast<Timestamp>(expires_at)};
       }
     }

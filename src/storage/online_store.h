@@ -79,7 +79,9 @@ class OnlineStore {
 
   /// Upserts the row for (view, entity_key). Drops the write (counted in
   /// stats().stale_writes) when an existing cell has a newer event time.
-  /// `ttl` <= 0 selects options.default_ttl.
+  /// The cell expires at `write_time` + `ttl` (never when no TTL applies);
+  /// `ttl` <= 0 selects options.default_ttl. The write time itself is not
+  /// stored.
   Status Put(const std::string& view, const Value& entity_key, Row row,
              Timestamp event_time, Timestamp write_time, Timestamp ttl = 0);
 

@@ -1,8 +1,9 @@
 // Batched ANN retrieval and SIMD distance kernels: BatchSearch must agree
 // with a loop of Search for every index and metric, the dispatched
 // kernels must agree with the scalar reference kernels on awkward
-// (non-multiple-of-lane) dimensions, and the row kernels must return the
-// per-pair kernels' bits.
+// (non-multiple-of-lane) dimensions, the row kernels must return the
+// per-pair kernels' bits, and the AVX2 scalar tail must be an explicit
+// fused multiply-add chain.
 
 #include <gtest/gtest.h>
 
@@ -112,6 +113,39 @@ TEST(SimdDistanceTest, RowKernelsEqualPerPairKernelsBitwise) {
             << "dot dim=" << dim << " rows=" << nrows << " query=" << qi
             << " level=" << simd::LevelName();
       }
+    }
+  }
+}
+
+// Below 8 dims the AVX2+FMA kernels run only their scalar tail: one fused
+// multiply-add per element onto +0.0, so their bits are the same at every
+// optimization level (a plain `sum += x * y` is contracted, or not, as the
+// optimizer decides).
+TEST(SimdDistanceTest, Avx2TailIsAFusedMultiplyAddChain) {
+  if (simd::LevelName() != "avx2+fma") {
+    GTEST_SKIP() << "dispatched level is " << simd::LevelName();
+  }
+  constexpr size_t kPairs = 256;
+  for (size_t dim = 1; dim <= 7; ++dim) {
+    const auto a = RandomVectors(kPairs, dim, 700 + dim);
+    const auto b = RandomVectors(kPairs, dim, 800 + dim);
+    for (size_t i = 0; i < kPairs; ++i) {
+      const float* x = a.data() + i * dim;
+      const float* y = b.data() + i * dim;
+      float l2 = 0.0f, dot = 0.0f;
+      for (size_t j = 0; j < dim; ++j) {
+        const float d = x[j] - y[j];
+        l2 = std::fma(d, d, l2);
+        dot = std::fma(x[j], y[j], dot);
+      }
+      const float got_l2 = simd::l2_squared(x, y, dim);
+      const float got_dot = simd::dot_product(x, y, dim);
+      EXPECT_EQ(std::memcmp(&got_l2, &l2, sizeof(float)), 0)
+          << "l2 dim=" << dim << " pair=" << i << ": " << got_l2 << " vs "
+          << l2;
+      EXPECT_EQ(std::memcmp(&got_dot, &dot, sizeof(float)), 0)
+          << "dot dim=" << dim << " pair=" << i << ": " << got_dot << " vs "
+          << dot;
     }
   }
 }

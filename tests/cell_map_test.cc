@@ -19,7 +19,6 @@ OnlineCell MakeCell(double v, Timestamp event_time = 1) {
   OnlineCell cell;
   cell.row = Row::CreateUnsafe(schema, {Value::Double(v)});
   cell.event_time = event_time;
-  cell.write_time = event_time;
   cell.expires_at = kMaxTimestamp;
   return cell;
 }

@@ -113,6 +113,9 @@ TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
   std::vector<int> proj_columns = {1, 3};  // event_time + metric.
   const SchemaPtr proj_schema =
       Schema::Create({schema->field(1), schema->field(3)}).value();
+  // The materialization read, shared by every reader.
+  const CompiledExpr latest_expr =
+      CompiledExpr::Compile("metric", schema).value();
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(0x37 * (r + 1));
@@ -149,7 +152,10 @@ TEST(ColumnarStressTest, MaintenanceRacesReadersAndWriters) {
         }
         const size_t scanned = table->Scan({Hours(10), Hours(100)})->size();
         (void)scanned;
-        (void)table->LatestPerEntityAsOf(Hours(rng.Uniform(24 * 14)));
+        ASSERT_TRUE(table
+                        ->EvalLatestPerEntityAsOf(Hours(rng.Uniform(24 * 14)),
+                                                  latest_expr)
+                        .ok());
         (void)table->storage_stats();
       }
     });

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "storage/entity_key.h"
 
 namespace mlfs {
@@ -312,14 +314,20 @@ TEST(OfflineTableTest, LatestPerEntityAsOf) {
   ASSERT_TRUE(table->Append(MakeRow(schema, 2, Hours(5), 25, 0.0)).ok());
   ASSERT_TRUE(table->Append(MakeRow(schema, 3, Days(2), 32, 0.0)).ok());
 
-  auto rows = table->LatestPerEntityAsOf(Hours(10));
-  ASSERT_EQ(rows.size(), 2u);  // Entity 3 has no data yet.
+  const CompiledExpr trips = CompiledExpr::Compile("trips", schema).value();
+  auto cells = table->EvalLatestPerEntityAsOf(Hours(10), trips).value();
+  ASSERT_EQ(cells.size(), 2u);  // Entity 3 has no data yet.
   int64_t sum = 0;
-  for (const auto& r : rows) sum += r.value(2).int64_value();
+  for (const auto& c : cells) sum += c.value.int64_value();
   EXPECT_EQ(sum, 19 + 25);
+  // Canonical key order, each cell with its row's event time.
+  EXPECT_EQ(cells[0].entity, Value::Int64(1));
+  EXPECT_EQ(cells[0].event_time, Hours(9));
+  EXPECT_EQ(cells[1].entity, Value::Int64(2));
+  EXPECT_EQ(cells[1].event_time, Hours(5));
 
-  EXPECT_EQ(table->LatestPerEntityAsOf(kMaxTimestamp).size(), 3u);
-  EXPECT_TRUE(table->LatestPerEntityAsOf(0).empty());
+  EXPECT_EQ(table->EvalLatestPerEntityAsOf(kMaxTimestamp, trips)->size(), 3u);
+  EXPECT_TRUE(table->EvalLatestPerEntityAsOf(0, trips)->empty());
 }
 
 TEST(OfflineTableTest, AsOfBatchMatchesAsOf) {
@@ -366,6 +374,61 @@ TEST(OfflineTableTest, AsOfBatchMatchesAsOf) {
   }
 }
 
+// AsOf is a one-request, full-width AsOfBatch: the same row bytes on a
+// hit, NotFound naming the key and time on a miss, one evaluation of the
+// offline_store.as_of failpoint per call on a valid key, none on a key
+// that cannot be canonicalized. Head and sealed rows both answer.
+TEST(OfflineTableTest, AsOfIsABatchOfOne) {
+  OfflineTableOptions options = TestOptions();
+  options.seal_rows = 16;
+  auto table = OfflineTable::Create(options).value();
+  auto schema = TestSchema();
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) {
+    const int64_t user = static_cast<int64_t>(rng.Uniform(6));
+    const Timestamp ts = Hours(static_cast<int64_t>(rng.Uniform(24 * 6)));
+    ASSERT_TRUE(table->Append(MakeRow(schema, user, ts, i, 0.5 * i)).ok());
+  }
+  ASSERT_GT(table->storage_stats().sealed_rows, 0u);
+  ASSERT_GT(table->storage_stats().head_rows, 0u);
+
+  FailpointConfig count_only;
+  count_only.status = Status::OK();  // Fires without failing: counts calls.
+  ScopedFailpoint fp("offline_store.as_of", count_only);
+  auto row_bytes = [](const Row& row) {
+    Encoder enc;
+    enc.PutRow(row);
+    return enc.Release();
+  };
+  for (int64_t user = 0; user <= 7; ++user) {  // 6 and 7: no history.
+    const std::string key = EntityKeyToString(Value::Int64(user)).value();
+    for (Timestamp ts : {Hours(-1), Hours(0), Hours(30), Days(3) + 1,
+                         Days(7), kMaxTimestamp}) {
+      const AsOfRequest request{key, ts};
+      Row batch_row;
+      ASSERT_TRUE(table->AsOfBatch({&request, 1}, {&batch_row, 1}).ok());
+      const uint64_t before = fp.stats().evaluations;
+      auto got = table->AsOf(Value::Int64(user), ts);
+      EXPECT_EQ(fp.stats().evaluations, before + 1)
+          << "user " << user << " at " << ts;
+      if (batch_row.schema() == nullptr) {
+        ASSERT_TRUE(got.status().IsNotFound()) << got.status();
+        EXPECT_EQ(got.status().message(),
+                  "no row for entity '" + key + "' as of " +
+                      FormatTimestamp(ts));
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(row_bytes(*got), row_bytes(batch_row))
+          << "user " << user << " at " << ts;
+    }
+  }
+  const uint64_t before = fp.stats().evaluations;
+  auto bad_key = table->AsOf(Value::Double(1.0), kMaxTimestamp);
+  EXPECT_TRUE(bad_key.status().IsInvalidArgument()) << bad_key.status();
+  EXPECT_EQ(fp.stats().evaluations, before);
+}
+
 TEST(OfflineTableTest, AsOfBatchEqualTimestampTieBreak) {
   auto table = OfflineTable::Create(TestOptions()).value();
   auto schema = TestSchema();
@@ -405,16 +468,6 @@ TEST(OfflineTableTest, AsOfBatchValidatesInput) {
   // Unsorted timestamps within a key.
   std::vector<AsOfRequest> bad_ts = {{"1", Hours(3)}, {"1", Hours(1)}};
   EXPECT_TRUE(table->AsOfBatch(bad_ts, results).IsInvalidArgument());
-}
-
-TEST(OfflineTableTest, EntityKeysSorted) {
-  auto table = OfflineTable::Create(TestOptions()).value();
-  auto schema = TestSchema();
-  for (int64_t u : {5, 3, 9, 3, 5}) {
-    ASSERT_TRUE(table->Append(MakeRow(schema, u, Hours(u), u, 0.0)).ok());
-  }
-  auto keys = table->EntityKeys();
-  EXPECT_EQ(keys, (std::vector<std::string>{"3", "5", "9"}));
 }
 
 TEST(OfflineTableTest, SnapshotRestoreRoundTrip) {

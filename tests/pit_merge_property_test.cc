@@ -1,7 +1,7 @@
 // Property suite for the batched sort-merge point-in-time join engine:
 // on randomized fixtures, PointInTimeJoin / NaiveLatestJoin (serial and
 // thread-pool sharded) must produce TrainingSets *byte-identical* to the
-// retained row-at-a-time reference implementations — same schema, same
+// row-at-a-time reference joins of pit_reference.h — same schema, same
 // rows (including the equal-timestamp append-order tie-break), same
 // missing_cells. Fixtures cover late/out-of-order arrivals, duplicate
 // timestamps, max_age cutoffs, absent entities, multi-source
@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "common/serde.h"
+#include "pit_reference.h"
 #include "serving/point_in_time.h"
 #include "storage/offline_store.h"
 

@@ -389,7 +389,7 @@ TEST(CraftedCountTest, OnlineRowCountIsCorruption) {
   enc.PutVarint64(1);  // Shards.
   enc.PutVarint64(1);  // Cells in the shard.
   enc.PutString(std::string("v\x1f") + "1");
-  for (int i = 0; i < 3; ++i) enc.PutFixed64(0);  // Event, write, expiry.
+  for (int i = 0; i < 2; ++i) enc.PutFixed64(0);  // Event time, expiry.
   enc.PutVarint64(uint64_t{1} << 60);             // Row value count.
   OnlineStore store;
   const Status s =

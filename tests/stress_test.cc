@@ -19,6 +19,7 @@
 #include "common/serde.h"
 #include "common/threadpool.h"
 #include "core/feature_store.h"
+#include "pit_reference.h"
 #include "serving/feature_server.h"
 #include "serving/point_in_time.h"
 #include "storage/offline_store.h"
