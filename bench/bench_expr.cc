@@ -418,18 +418,6 @@ void BM_KernelCmpF64(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelCmpF64)->ArgName("simd")->Arg(0)->Arg(1);
 
-void BM_KernelSumF64Masked(benchmark::State& state) {
-  KernelData& d = Kernels();
-  vmsimd::SumF64MaskedFn fn = state.range(0) ? vmsimd::sum_f64_masked
-                                             : &vmsimd::SumF64MaskedScalar;
-  for (auto _ : state) {
-    double s = fn(d.x.data(), d.nulls.data(), kKernelLanes);
-    benchmark::DoNotOptimize(s);
-  }
-  state.SetItemsProcessed(state.iterations() * kKernelLanes);
-}
-BENCHMARK(BM_KernelSumF64Masked)->ArgName("simd")->Arg(0)->Arg(1);
-
 }  // namespace
 }  // namespace mlfs
 

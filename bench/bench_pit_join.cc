@@ -138,8 +138,8 @@ void BM_MergeJoin(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * spine.size());
 }
-// Wall-clock rate: with threads > 1 the join runs on pool workers, so the
-// calling thread's CPU time would understate the work.
+// Wall-clock rate: with threads > 1 the join also runs on threads it starts,
+// so the calling thread's CPU time would understate the work.
 BENCHMARK(BM_MergeJoin)
     ->ArgNames({"spine", "sources", "threads"})
     ->ArgsProduct({{1000, 100000}, {1, 4}, {1, 2, 4}})

@@ -9,7 +9,11 @@
 //
 // Run: ./example_quickstart
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "core/feature_store.h"
 #include "ml/linear_model.h"
@@ -143,7 +147,10 @@ int main() {
                   store.models().Get("churn_model")->weights_checksum));
 
   // --- 7. Durability: checkpoint the whole store and reload it --------------
-  const std::string checkpoint_dir = "/tmp/mlfs_quickstart_checkpoint";
+  const std::string checkpoint_dir =
+      (std::filesystem::temp_directory_path() /
+       ("mlfs_quickstart_" + std::to_string(::getpid())))
+          .string();
   MLFS_CHECK_OK(store.Checkpoint(checkpoint_dir));
   FeatureStore reloaded;
   MLFS_CHECK_OK(reloaded.RestoreCheckpoint(checkpoint_dir));
@@ -155,6 +162,7 @@ int main() {
               fv_again.values[0].double_value(),
               reloaded.models().num_models(),
               reloaded.registry().num_features());
+  std::filesystem::remove_all(checkpoint_dir);
 
   std::printf("quickstart complete; %zu alerts emitted\n",
               store.alerts().size());

@@ -1,8 +1,5 @@
 #include "common/failpoint.h"
 
-#include <chrono>
-#include <thread>
-
 namespace mlfs {
 
 FailpointRegistry& FailpointRegistry::Instance() {
@@ -59,39 +56,27 @@ FailpointStats FailpointRegistry::stats(const std::string& name) const {
 }
 
 Status FailpointRegistry::Evaluate(const std::string& name) {
-  Status injected;
-  uint64_t latency_micros = 0;
-  {
-    std::lock_guard lock(mu_);
-    auto it = points_.find(name);
-    if (it == points_.end() || !it->second.armed) return Status::OK();
-    Point& point = it->second;
-    ++point.evaluations;
-    if (point.evaluations <= point.config.skip_first) return Status::OK();
-    uint64_t eligible = point.evaluations - point.config.skip_first;
-    if (point.config.every_nth > 0 &&
-        (eligible - 1) % point.config.every_nth != 0) {
-      return Status::OK();
-    }
-    if (point.config.probability < 1.0 &&
-        !rng_.Bernoulli(point.config.probability)) {
-      return Status::OK();
-    }
-    ++point.fires;
-    if (point.config.max_fires > 0 &&
-        point.fires >= point.config.max_fires) {
-      point.armed = false;
-      armed_count_.fetch_sub(1, std::memory_order_release);
-    }
-    injected = point.config.status;
-    latency_micros = point.config.latency_micros;
+  std::lock_guard lock(mu_);
+  auto it = points_.find(name);
+  if (it == points_.end() || !it->second.armed) return Status::OK();
+  Point& point = it->second;
+  ++point.evaluations;
+  if (point.evaluations <= point.config.skip_first) return Status::OK();
+  uint64_t eligible = point.evaluations - point.config.skip_first;
+  if (point.config.every_nth > 0 &&
+      (eligible - 1) % point.config.every_nth != 0) {
+    return Status::OK();
   }
-  // Sleep outside the lock so latency injection on one failpoint does not
-  // stall evaluations of others.
-  if (latency_micros > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(latency_micros));
+  if (point.config.probability < 1.0 &&
+      !rng_.Bernoulli(point.config.probability)) {
+    return Status::OK();
   }
-  return injected;
+  ++point.fires;
+  if (point.config.max_fires > 0 && point.fires >= point.config.max_fires) {
+    point.armed = false;
+    armed_count_.fetch_sub(1, std::memory_order_release);
+  }
+  return point.config.status;
 }
 
 ScopedFailpoint::ScopedFailpoint(std::string name, FailpointConfig config)

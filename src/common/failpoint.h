@@ -16,18 +16,18 @@ namespace mlfs {
 ///
 /// Fallible operations on the storage/serving/streaming hot paths declare a
 /// named failpoint (e.g. "online_store.get") via MLFS_FAILPOINT. Tests arm a
-/// failpoint with a FailpointConfig — an error to inject, a trigger rule
-/// (probability / every-Nth / first-K), and optional simulated latency — and
-/// the operation then fails or stalls exactly as a flaky disk, overloaded
-/// shard, or lossy network hop would, but reproducibly: probabilistic
+/// failpoint with a FailpointConfig — an error to inject and a trigger rule
+/// (probability / every-Nth / first-K) — and the operation then fails
+/// exactly as a flaky disk, overloaded shard, or lossy network hop would,
+/// but reproducibly: probabilistic
 /// triggers draw from the registry's explicitly seeded `Rng`, never from
 /// wall-clock entropy.
 ///
 /// When nothing is armed the per-callsite cost is one relaxed atomic load,
 /// so failpoints stay compiled into release binaries.
 struct FailpointConfig {
-  /// Injected when the failpoint fires. An OK status turns the failpoint
-  /// into a pure latency injector.
+  /// Injected when the failpoint fires. An OK status makes a fire change
+  /// nothing but the counters (a call counter).
   Status status = Status::Internal("injected fault");
   /// Probability that an eligible evaluation fires ([0, 1]).
   double probability = 1.0;
@@ -37,8 +37,6 @@ struct FailpointConfig {
   uint64_t skip_first = 0;
   /// If > 0, the failpoint disarms itself after firing this many times.
   uint64_t max_fires = 0;
-  /// Simulated latency slept (real time) on every fire.
-  uint64_t latency_micros = 0;
 };
 
 /// Lifetime counters of one failpoint (kept across disarm, reset on re-arm).
@@ -80,8 +78,8 @@ class FailpointRegistry {
     return armed_count_.load(std::memory_order_acquire) > 0;
   }
 
-  /// Evaluates `name`: returns the injected status when it fires (after
-  /// sleeping any configured latency), OK otherwise.
+  /// Evaluates `name`: returns the injected status when it fires, OK
+  /// otherwise.
   Status Evaluate(const std::string& name);
 
  private:

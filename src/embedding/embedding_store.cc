@@ -54,7 +54,6 @@ EmbeddingTierOptions EmbeddingStore::TierOptionsLocked(
   options.dir = spill_dir_;
   options.file_stem = SanitizeFileStem(metadata.name) + "_v" +
                       std::to_string(metadata.version);
-  options.remove_file_on_destroy = true;
   return options;
 }
 
@@ -71,14 +70,8 @@ void EmbeddingStore::ApplyTierBudgetLocked(Timestamp /*now*/) {
         slot->tier()->DemoteAll();
         continue;
       }
-      EmbeddingTierOptions options = TierOptionsLocked(slot->metadata(), 0);
-      if (tier_policy_.superseded_bits > 0) {
-        // History tolerates coarser packing than the serving version: it
-        // is read for audits and drift checks, not ANN quality.
-        options.bits = tier_policy_.superseded_bits;
-      }
-      StatusOr<EmbeddingTablePtr> tiered =
-          EmbeddingTable::CreateTiered(*slot, options);
+      StatusOr<EmbeddingTablePtr> tiered = EmbeddingTable::CreateTiered(
+          *slot, TierOptionsLocked(slot->metadata(), 0));
       if (!tiered.ok()) {
         // Degrade, never drop: the version stays resident and the next
         // registration retries the spill.

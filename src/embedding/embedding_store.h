@@ -22,15 +22,9 @@ struct EmbeddingTierPolicy {
   /// not fit into packed quantized tier files: the newest version of each
   /// name gets hot-prefix budget first, superseded versions go fully cold.
   size_t memory_budget_bytes = 0;
-  /// Bits per dimension for spilled tables (1..16).
+  /// Bits per dimension for spilled tables, superseded versions included
+  /// (1..16).
   int bits = 8;
-  /// Bits per dimension for superseded versions demoted to fully-cold
-  /// tiers (1..16). Old versions are kept only for pinned consumers and
-  /// reproducibility audits, so they can tolerate coarser quantization
-  /// than the serving version. 0 keeps `bits` for superseded versions
-  /// too. Applies when a resident superseded version is demoted; tables
-  /// that were already tiered keep their original packing.
-  int superseded_bits = 0;
   /// Rows per tier block.
   size_t block_rows = 256;
   /// Where tier files are written; empty means

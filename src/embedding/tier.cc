@@ -163,7 +163,7 @@ Status EmbeddingTier::WriteAndMap(const PackedCodes& packed,
   MLFS_ASSIGN_OR_RETURN(
       file_, BlockFile::Spill(kTierMagic, kTierVersion,
                               BlockFile::Seal(kTierMagic, kTierVersion, body),
-                              std::move(path), options.remove_file_on_destroy,
+                              std::move(path), /*remove_file_on_destroy=*/true,
                               "tier file"));
   return ParseBody();
 }

@@ -30,13 +30,12 @@ struct EmbeddingTierOptions {
   /// Rows per block — the unit of the hot prefix and of scan
   /// dequantization; point reads decode single rows.
   size_t block_rows = 256;
-  /// Directory the packed tier file is written into (required).
+  /// Directory the packed tier file is written into (required). Tier
+  /// files are scratch: deleted when the tier is destroyed. Snapshots
+  /// embed the packed codes, not the file path.
   std::string dir;
   /// Stem of the tier file name (a unique suffix is always appended).
   std::string file_stem = "tier";
-  /// Tier files are scratch by default: deleted when the tier is
-  /// destroyed. Snapshots embed the packed codes, not the file path.
-  bool remove_file_on_destroy = true;
 };
 
 /// Monotonic tier counters plus a point-in-time occupancy snapshot.

@@ -5,10 +5,7 @@
 // not change a single result bit. That constrains the designs:
 //  - arithmetic/compare kernels are purely per-lane (no re-association);
 //  - the compare kernels rebuild the scalar three-way logic from ordered
-//    (quiet) masks so NaN still compares "equal";
-//  - the masked sum fixes one accumulation shape — four stride-4 partial
-//    sums combined as (s0+s2)+(s1+s3), null lanes contributing +0.0 —
-//    implemented identically at every dispatch level.
+//    (quiet) masks so NaN still compares "equal".
 //
 // Dispatch happens once, at static-initialization time, into plain
 // function pointers (the distance.cc pattern): constant-initialized to the
@@ -123,38 +120,6 @@ void CmpI64Scalar(CmpPred pred, const int64_t* x, const int64_t* y,
 void OrWordsScalar(const uint64_t* a, const uint64_t* b, uint64_t* o,
                    size_t words) {
   for (size_t i = 0; i < words; ++i) o[i] = a[i] | b[i];
-}
-
-double SumF64MaskedScalar(const double* x, const uint64_t* null_words,
-                          size_t n) {
-  double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint64_t w = null_words[i >> 6] >> (i & 63);
-    s0 += (w & 1) ? 0.0 : x[i];
-    s1 += (w & 2) ? 0.0 : x[i + 1];
-    s2 += (w & 4) ? 0.0 : x[i + 2];
-    s3 += (w & 8) ? 0.0 : x[i + 3];
-  }
-  double sum = (s0 + s2) + (s1 + s3);
-  for (; i < n; ++i) {
-    sum += ((null_words[i >> 6] >> (i & 63)) & 1) ? 0.0 : x[i];
-  }
-  return sum;
-}
-
-size_t CountNotNull(const uint64_t* null_words, size_t n) {
-  size_t nulls = 0;
-  size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    nulls += static_cast<size_t>(__builtin_popcountll(null_words[i >> 6]));
-  }
-  if (i < n) {
-    const uint64_t mask = (uint64_t{1} << (n - i)) - 1;
-    nulls += static_cast<size_t>(__builtin_popcountll(null_words[i >> 6] &
-                                                      mask));
-  }
-  return n - nulls;
 }
 
 namespace {
@@ -348,34 +313,6 @@ __attribute__((target("avx2"))) void OrWordsAvx2(const uint64_t* a,
   for (; i < words; ++i) o[i] = a[i] | b[i];
 }
 
-__attribute__((target("avx2"))) double SumF64MaskedAvx2(
-    const double* x, const uint64_t* null_words, size_t n) {
-  // One 4-lane accumulator == the scalar reference's four stride-4 partial
-  // sums; the horizontal reduce below reproduces (s0+s2)+(s1+s3) exactly.
-  __m256d acc = _mm256_setzero_pd();
-  const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
-  const __m256i izero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint64_t w = (null_words[i >> 6] >> (i & 63)) & 15;
-    const __m256i bits = _mm256_set1_epi64x(static_cast<long long>(w));
-    const __m256i valid =
-        _mm256_cmpeq_epi64(_mm256_and_si256(bits, lane_bit), izero);
-    const __m256d vx =
-        _mm256_and_pd(_mm256_loadu_pd(x + i), _mm256_castsi256_pd(valid));
-    acc = _mm256_add_pd(acc, vx);
-  }
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);  // [s0+s2, s1+s3]
-  double sum =
-      _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  for (; i < n; ++i) {
-    sum += ((null_words[i >> 6] >> (i & 63)) & 1) ? 0.0 : x[i];
-  }
-  return sum;
-}
-
 bool CpuHasAvx2Fma() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -386,8 +323,8 @@ bool CpuHasAvx2Fma() {
 #if MLFS_VMSIMD_NEON
 
 // NEON upgrades the arithmetic kernels (per-lane ops, trivially
-// bit-identical); compares and the masked reduction stay on the scalar
-// reference pending aarch64 hardware to measure on.
+// bit-identical); compares stay on the scalar reference pending aarch64
+// hardware to measure on.
 
 void AddF64Neon(const double* x, const double* y, double* o, size_t n) {
   size_t i = 0;
@@ -464,7 +401,6 @@ BinI64Fn sub_i64 = SubI64Scalar;
 CmpF64Fn cmp_f64 = CmpF64Scalar;
 CmpI64Fn cmp_i64 = CmpI64Scalar;
 OrWordsFn or_words = OrWordsScalar;
-SumF64MaskedFn sum_f64_masked = SumF64MaskedScalar;
 
 namespace {
 
@@ -480,7 +416,6 @@ const bool g_dispatched = [] {
     cmp_f64 = CmpF64Avx2;
     cmp_i64 = CmpI64Avx2;
     or_words = OrWordsAvx2;
-    sum_f64_masked = SumF64MaskedAvx2;
     g_level = "avx2+fma";
   }
 #elif MLFS_VMSIMD_NEON

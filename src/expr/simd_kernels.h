@@ -20,15 +20,8 @@ enum class CmpPred : uint8_t { kEq = 0, kNe, kLt, kLe, kGt, kGe };
 // constant-initialized to the scalar reference kernels and upgraded once,
 // at static-initialization time, to the best ISA available (AVX2+FMA on
 // x86, NEON on aarch64). Every variant is bit-identical to its scalar
-// reference — not merely close: arithmetic is per-lane, compares reproduce
-// the NaN-compares-equal three-way logic, and the masked reduction fixes
-// the accumulation shape (four stride-4 partial sums, combined as
-// (s0+s2)+(s1+s3)) so scalar and vector variants associate identically.
-// One caveat on the reduction: when two NaNs with *different* payloads
-// meet in an add (possible once an accumulator holds the hardware default
-// NaN from inf + -inf and an input NaN joins), the surviving payload
-// depends on operand order, which the compiler may swap for a commutative
-// FP add — values and NaN-ness stay identical, NaN payload bits may not.
+// reference — not merely close: arithmetic is per-lane and compares
+// reproduce the NaN-compares-equal three-way logic.
 
 /// o[i] = x[i] op y[i]; null handling is the caller's (bitmap OR).
 using BinF64Fn = void (*)(const double* x, const double* y, double* o,
@@ -48,10 +41,6 @@ using CmpI64Fn = void (*)(CmpPred pred, const int64_t* x, const int64_t* y,
 /// o[w] = a[w] | b[w] for `words` 64-bit bitmap words.
 using OrWordsFn = void (*)(const uint64_t* a, const uint64_t* b, uint64_t* o,
                            size_t words);
-/// Null-bitmap-aware sum reduction: lanes whose null bit is set contribute
-/// +0.0. Deterministic accumulation order shared by every dispatch level.
-using SumF64MaskedFn = double (*)(const double* x, const uint64_t* null_words,
-                                  size_t n);
 
 extern BinF64Fn add_f64;
 extern BinF64Fn sub_f64;
@@ -62,7 +51,6 @@ extern BinI64Fn sub_i64;
 extern CmpF64Fn cmp_f64;
 extern CmpI64Fn cmp_i64;
 extern OrWordsFn or_words;
-extern SumF64MaskedFn sum_f64_masked;
 
 // Scalar reference kernels — the semantic ground truth the dispatched
 // pointers must agree with bit-for-bit (differential tests and the
@@ -80,11 +68,6 @@ void CmpI64Scalar(CmpPred pred, const int64_t* x, const int64_t* y,
                   uint8_t* o, size_t n);
 void OrWordsScalar(const uint64_t* a, const uint64_t* b, uint64_t* o,
                    size_t words);
-double SumF64MaskedScalar(const double* x, const uint64_t* null_words,
-                          size_t n);
-
-/// Valid (non-null) lanes among the first `n` rows of a null bitmap.
-size_t CountNotNull(const uint64_t* null_words, size_t n);
 
 /// Dispatch level the VM kernels run at: "scalar", "avx2+fma", or "neon".
 std::string_view LevelName();

@@ -25,7 +25,7 @@ struct FeatureDefinition {
   std::string expression;
   /// How often the orchestrator refreshes the materialized value.
   Timestamp cadence = kMicrosPerDay;
-  /// TTL of the materialized value in the online store (0 = store default).
+  /// TTL of the materialized value in the online store (0 = never expire).
   Timestamp online_ttl = 0;
   std::string description;
   std::string owner;

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <memory>
 
-#include "common/threadpool.h"
+#include "common/parallel_for.h"
 #include "storage/entity_key.h"
 
 namespace mlfs {
@@ -141,13 +140,10 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
 
   // 2. Fan out: sources × entity-range shards of the sorted request array
   //    (shards cut at key boundaries so no entity's run is split).
-  std::unique_ptr<ThreadPool> pool;
-  if (options.max_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.max_threads);
-  }
+  const size_t threads = std::max<size_t>(1, options.max_threads);
   std::vector<std::pair<size_t, size_t>> shards;
   {
-    const size_t want = pool != nullptr ? pool->num_threads() * 2 : 1;
+    const size_t want = threads > 1 ? threads * 2 : 1;
     const size_t target = m == 0 ? 0 : (m + want - 1) / want;
     size_t start = 0;
     while (start < m) {
@@ -163,7 +159,7 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
   for (auto& rows : source_rows) rows.resize(m);
   const size_t num_tasks = resolved.size() * shards.size();
   std::vector<Status> task_status(num_tasks);
-  ParallelFor(pool.get(), 0, num_tasks, [&](size_t task) {
+  ParallelFor(threads, num_tasks, [&](size_t task) {
     const size_t s = task / shards.size();
     const auto [start, stop] = shards[task % shards.size()];
     AsOfReadOptions read_options;
@@ -250,14 +246,7 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
       missing.fetch_add(row_missing, std::memory_order_relaxed);
     }
   };
-  if (pool == nullptr) {
-    // Serial fast path: calling the lambda directly (instead of through
-    // ParallelFor's std::function) lets the compiler inline the row body
-    // into the loop and hoist the per-source invariants.
-    for (size_t r = 0; r < n; ++r) assemble(r);
-  } else {
-    ParallelFor(pool.get(), 0, n, assemble);
-  }
+  ParallelFor(threads, n, assemble);
   out.missing_cells = missing.load(std::memory_order_relaxed);
   return out;
 }

@@ -38,9 +38,10 @@ struct TrainingSet {
 };
 
 /// Execution knobs for the batched join engine. With max_threads > 1 the
-/// join starts a pool of that many workers for the call and splits the
-/// work across sources and, within a source, across entity-range shards of
-/// the sorted request array; 1 keeps everything on the calling thread.
+/// join runs its batch reads (sources × entity-range shards of the sorted
+/// request array) and then its row assembly on up to that many threads it
+/// starts through ParallelFor, while the calling thread waits; a small
+/// spine starts fewer. 1 keeps everything on the calling thread.
 struct JoinOptions {
   uint32_t max_threads = 1;
 };

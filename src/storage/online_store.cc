@@ -130,7 +130,6 @@ Status OnlineStore::Put(const std::string& view, const Value& entity_key,
                                    "'");
   }
   MLFS_ASSIGN_OR_RETURN(std::string key, EntityKeyToString(entity_key));
-  if (ttl <= 0) ttl = options_.default_ttl;
   Timestamp expires_at =
       (ttl <= 0) ? kMaxTimestamp
                  : (write_time > kMaxTimestamp - ttl ? kMaxTimestamp

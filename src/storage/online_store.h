@@ -35,9 +35,6 @@ struct OnlineStoreStats {
 struct OnlineStoreOptions {
   /// Shards (each with its own lock) for concurrent serving.
   size_t num_shards = 16;
-  /// Default TTL applied when a Put passes ttl == 0. 0 here means
-  /// "never expire".
-  Timestamp default_ttl = 0;
 };
 
 /// The shard of a cell-key hash among `num_shards`, from the hash's high 32
@@ -79,9 +76,8 @@ class OnlineStore {
 
   /// Upserts the row for (view, entity_key). Drops the write (counted in
   /// stats().stale_writes) when an existing cell has a newer event time.
-  /// The cell expires at `write_time` + `ttl` (never when no TTL applies);
-  /// `ttl` <= 0 selects options.default_ttl. The write time itself is not
-  /// stored.
+  /// The cell expires at `write_time` + `ttl`; `ttl` <= 0 means it never
+  /// expires. The write time itself is not stored.
   Status Put(const std::string& view, const Value& entity_key, Row row,
              Timestamp event_time, Timestamp write_time, Timestamp ttl = 0);
 

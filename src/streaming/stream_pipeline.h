@@ -24,7 +24,7 @@ struct StreamPipelineOptions {
   WindowSpec window;
   std::vector<WindowAggSpec> aggs;
   Timestamp allowed_lateness = 0;
-  /// TTL of materialized rows in the online store (0: store default).
+  /// TTL of materialized rows in the online store (0: never expire).
   Timestamp online_ttl = 0;
 };
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -196,6 +197,26 @@ TEST_P(BatchSearchPropertyTest, BruteForceBatchEqualsLoop) {
                      std::to_string(n) + " k=" + std::to_string(k));
         ExpectBatchMatchesLoop(*index, queries.data(), nq, k);
       }
+    }
+  }
+}
+
+TEST_P(BatchSearchPropertyTest, BruteForceBatchEqualsLoopAtEveryOffset) {
+  // The batch scan stages row blocks that start off a 32-byte boundary
+  // into an aligned copy; a search of one query reads the rows in place.
+  // Shifting the matrix by 0-7 floats takes both paths over the same rows.
+  const size_t n = 1001, nq = 9;
+  for (size_t dim : {8u, 32u, 36u}) {
+    auto data = RandomVectors(n, dim, 31 + dim);
+    auto queries = RandomVectors(nq, dim, 32 + dim);
+    std::vector<float> shifted(n * dim + 8);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      std::copy(data.begin(), data.end(), shifted.begin() + offset);
+      auto index = MakeBruteForceIndex(GetParam());
+      ASSERT_TRUE(index->Build(shifted.data() + offset, n, dim).ok());
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " offset=" + std::to_string(offset));
+      ExpectBatchMatchesLoop(*index, queries.data(), nq, 5);
     }
   }
 }

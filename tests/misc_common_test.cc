@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "common/histogram.h"
+#include "common/parallel_for.h"
 #include "common/string_util.h"
-#include "common/threadpool.h"
 #include "common/timestamp.h"
 
 namespace mlfs {
@@ -138,34 +142,39 @@ TEST(StringUtilTest, JoinLowerStrip) {
   EXPECT_FALSE(StartsWith("fe", "feature"));
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+TEST(ParallelForTest, CoversRangeExactlyOnce) {
+  for (size_t threads : {1, 2, 4}) {
+    for (size_t n : {0, 1, 3, 1000}) {
+      std::vector<std::atomic<int>> hits(n);
+      ParallelFor(threads, n, [&hits](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " i=" << i;
+      }
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, 0, hits.size(),
-              [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ParallelForTest, OneThreadRunsOnCaller) {
+  std::vector<std::thread::id> ran_on(100);
+  ParallelFor(1, ran_on.size(),
+              [&ran_on](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
-TEST(ThreadPoolTest, ParallelForInlineWithoutPool) {
-  int sum = 0;
-  ParallelFor(nullptr, 5, 10, [&sum](size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum, 5 + 6 + 7 + 8 + 9);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not deadlock.
-  SUCCEED();
+TEST(ParallelForTest, StartsNoMoreThreadsThanChunks) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  ParallelFor(8, 3, [&](size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 3u);
+  // With more than one thread the caller only waits.
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u);
 }
 
 }  // namespace

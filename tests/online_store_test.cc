@@ -99,17 +99,6 @@ TEST_F(OnlineStoreTest, TtlExpiryAndEviction) {
   EXPECT_EQ(store_.stats().num_cells, 0u);
 }
 
-TEST_F(OnlineStoreTest, DefaultTtlFromOptions) {
-  OnlineStoreOptions opt;
-  opt.default_ttl = Hours(1);
-  OnlineStore store(opt);
-  ASSERT_TRUE(store.CreateView("v", schema_).ok());
-  ASSERT_TRUE(
-      store.Put("v", Value::Int64(1), MakeRow(schema_, 1, 1.0), 0, 0).ok());
-  EXPECT_TRUE(store.Get("v", Value::Int64(1), Minutes(59)).ok());
-  EXPECT_FALSE(store.Get("v", Value::Int64(1), Hours(1)).ok());
-}
-
 TEST_F(OnlineStoreTest, NoTtlNeverExpires) {
   ASSERT_TRUE(store_.Put("user_stats", Value::Int64(1),
                          MakeRow(schema_, 1, 1.0), 0, 0)

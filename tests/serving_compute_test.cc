@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -578,7 +577,7 @@ TEST_F(SimdKernelTest, CompareKernelsMatchScalarOnNaN) {
   }
 }
 
-TEST_F(SimdKernelTest, OrWordsAndMaskedSumMatchScalar) {
+TEST_F(SimdKernelTest, OrWordsMatchScalar) {
   Rng rng(0x0b5);
   for (size_t n : widths_) {
     const std::vector<uint64_t> a = RandomMask(rng, n), b = RandomMask(rng, n);
@@ -586,29 +585,6 @@ TEST_F(SimdKernelTest, OrWordsAndMaskedSumMatchScalar) {
     vmsimd::or_words(a.data(), b.data(), got.data(), a.size());
     vmsimd::OrWordsScalar(a.data(), b.data(), want.data(), a.size());
     EXPECT_EQ(got, want) << "n=" << n;
-
-    // ±inf is fair game (inf + -inf yields the hardware default NaN in
-    // every variant), but input NaNs are not: once two NaNs with distinct
-    // payloads meet in an add, the surviving payload depends on operand
-    // order, and the compiler may legally swap a commutative FP add. The
-    // accumulation *shape* is pinned; NaN payload plumbing is not.
-    std::vector<double> x = RandomF64(rng, n);
-    for (double& v : x) {
-      if (std::isnan(v)) v = 1.0;
-    }
-    const std::vector<uint64_t> mask = RandomMask(rng, n);
-    const double gs = vmsimd::sum_f64_masked(x.data(), mask.data(), n);
-    const double ws = vmsimd::SumF64MaskedScalar(x.data(), mask.data(), n);
-    uint64_t gb, wb;
-    std::memcpy(&gb, &gs, 8);
-    std::memcpy(&wb, &ws, 8);
-    EXPECT_EQ(gb, wb) << "sum n=" << n;
-
-    size_t manual = 0;
-    for (size_t i = 0; i < n; ++i) {
-      manual += ((mask[i >> 6] >> (i & 63)) & 1) == 0;
-    }
-    EXPECT_EQ(vmsimd::CountNotNull(mask.data(), n), manual) << "n=" << n;
   }
 }
 

@@ -17,7 +17,6 @@
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/serde.h"
-#include "common/threadpool.h"
 #include "core/feature_store.h"
 #include "pit_reference.h"
 #include "serving/feature_server.h"
@@ -125,7 +124,7 @@ TEST_F(StressTest, ConcurrentServingUnderFaultInjection) {
     }
   });
 
-  ThreadPool pool(kWriters + kReaders);
+  std::vector<std::thread> threads;
   std::vector<std::vector<Timestamp>> newest_ok(
       kWriters, std::vector<Timestamp>(kKeys, kMinTimestamp));
   std::atomic<uint64_t> injected_put_failures{0};
@@ -133,12 +132,14 @@ TEST_F(StressTest, ConcurrentServingUnderFaultInjection) {
   std::atomic<uint64_t> reader_nulls{0};
 
   for (int w = 0; w < kWriters; ++w) {
-    pool.Submit([&store, &schema, w, &newest_ok, &injected_put_failures] {
-      WriterLoop(&store, schema, w, &newest_ok[w], &injected_put_failures);
-    });
+    threads.emplace_back(
+        [&store, &schema, w, &newest_ok, &injected_put_failures] {
+          WriterLoop(&store, schema, w, &newest_ok[w],
+                     &injected_put_failures);
+        });
   }
   for (int r = 0; r < kReaders; ++r) {
-    pool.Submit([&server, r, &reader_requests, &reader_nulls] {
+    threads.emplace_back([&server, r, &reader_requests, &reader_nulls] {
       Rng rng(1000 + r);
       for (int i = 0; i < kOpsPerReader; ++i) {
         int64_t key = static_cast<int64_t>(rng.Uniform(kKeys));
@@ -151,7 +152,7 @@ TEST_F(StressTest, ConcurrentServingUnderFaultInjection) {
       }
     });
   }
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
   done.store(true, std::memory_order_release);
   monitor.join();
   FailpointRegistry::Instance().DisarmAll();
@@ -220,17 +221,20 @@ TEST_F(StressTest, ConcurrentBatchedMultiGetUnderFaultInjection) {
     FailpointRegistry::Instance().Arm("online_store.get", get_faults);
   }
 
-  ThreadPool pool(kBatchWriters + kBatchReaders + 1);
+  std::vector<std::thread> threads;
   std::vector<std::vector<Timestamp>> newest_ok(
       kBatchWriters, std::vector<Timestamp>(kKeys, kMinTimestamp));
   std::atomic<uint64_t> injected_put_failures{0};
   std::atomic<bool> done{false};
   for (int w = 0; w < kBatchWriters; ++w) {
-    pool.Submit([&store, &schema, w, &newest_ok, &injected_put_failures] {
-      WriterLoop(&store, schema, w, &newest_ok[w], &injected_put_failures);
-    });
+    threads.emplace_back(
+        [&store, &schema, w, &newest_ok, &injected_put_failures] {
+          WriterLoop(&store, schema, w, &newest_ok[w],
+                     &injected_put_failures);
+        });
   }
-  pool.Submit([&store, &done] {  // Evictor: exclusive locks vs batch reads.
+  // Evictor: exclusive locks vs batch reads.
+  threads.emplace_back([&store, &done] {
     while (!done.load(std::memory_order_acquire)) {
       store.EvictExpired(Seconds(2500));
       std::this_thread::yield();
@@ -238,7 +242,7 @@ TEST_F(StressTest, ConcurrentBatchedMultiGetUnderFaultInjection) {
   });
   std::atomic<uint64_t> server_entities{0};
   for (int r = 0; r < kBatchReaders; ++r) {
-    pool.Submit([&store, &server, r, &server_entities] {
+    threads.emplace_back([&store, &server, r, &server_entities] {
       Rng rng(5000 + r);
       for (int b = 0; b < kBatchesPerReader; ++b) {
         std::vector<Value> batch;
@@ -285,7 +289,7 @@ TEST_F(StressTest, ConcurrentBatchedMultiGetUnderFaultInjection) {
     std::this_thread::yield();
   }
   done.store(true, std::memory_order_release);
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
   FailpointRegistry::Instance().DisarmAll();
 
   // MultiGet preserves the store invariant under concurrency + faults.
@@ -314,9 +318,9 @@ TEST_F(StressTest, SnapshotAndEvictionRaceWriters) {
   constexpr int kSnapshotWriters = 2;
   constexpr int kPutsPerSnapshotWriter = 20000;
   std::atomic<bool> done{false};
-  ThreadPool pool(4);
+  std::vector<std::thread> threads;
   for (int w = 0; w < kSnapshotWriters; ++w) {
-    pool.Submit([&store, &schema, w] {
+    threads.emplace_back([&store, &schema, w] {
       for (int i = 0; i < kPutsPerSnapshotWriter; ++i) {
         Timestamp et = Seconds(1 + i * 2 + w);
         int64_t key = (i * 2 + w) % kKeys;
@@ -330,7 +334,7 @@ TEST_F(StressTest, SnapshotAndEvictionRaceWriters) {
       }
     });
   }
-  pool.Submit([&store, &done] {
+  threads.emplace_back([&store, &done] {
     size_t snapshots = 0;
     while (!done.load(std::memory_order_acquire)) {
       std::string snap = store.Snapshot();
@@ -345,7 +349,7 @@ TEST_F(StressTest, SnapshotAndEvictionRaceWriters) {
       std::this_thread::yield();
     }
   });
-  pool.Submit([&store, &done] {
+  threads.emplace_back([&store, &done] {
     while (!done.load(std::memory_order_acquire)) {
       store.EvictExpired(Seconds(2500));
       (void)store.stats();
@@ -359,7 +363,7 @@ TEST_F(StressTest, SnapshotAndEvictionRaceWriters) {
       static_cast<uint64_t>(kSnapshotWriters) * kPutsPerSnapshotWriter;
   while (store.stats().puts < kTotalPuts) std::this_thread::yield();
   done.store(true, std::memory_order_release);
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
 
   OnlineStoreStats s = store.stats();
   EXPECT_EQ(s.puts, kTotalPuts);
@@ -401,10 +405,10 @@ TEST_F(StressTest, ConcurrentNearestEntitiesAcrossEmbeddings) {
   ASSERT_TRUE(store.RegisterEmbedding(make_table("emb_a", 1)).ok());
   ASSERT_TRUE(store.RegisterEmbedding(make_table("emb_b", 2)).ok());
 
-  ThreadPool pool(kAnnReaders + 1);
+  std::vector<std::thread> threads;
   std::atomic<uint64_t> lookups{0};
   for (int r = 0; r < kAnnReaders; ++r) {
-    pool.Submit([&store, &keys, &lookups, r] {
+    threads.emplace_back([&store, &keys, &lookups, r] {
       // Readers alternate embeddings so both indexes are always under
       // concurrent load from multiple threads.
       const std::string name = (r % 2 == 0) ? "emb_a" : "emb_b";
@@ -438,7 +442,7 @@ TEST_F(StressTest, ConcurrentNearestEntitiesAcrossEmbeddings) {
       }
     });
   }
-  pool.Submit([&store, &make_table] {
+  threads.emplace_back([&store, &make_table] {
     // Registrar: keeps publishing fresh versions of emb_a, so readers race
     // index builds and eviction of the versions they are still using.
     for (int i = 0; i < kReregistrations; ++i) {
@@ -448,7 +452,7 @@ TEST_F(StressTest, ConcurrentNearestEntitiesAcrossEmbeddings) {
       std::this_thread::yield();
     }
   });
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
 
   // Per reader: every 4th iteration is a batch of 8, the rest are singles.
   constexpr uint64_t kPerReader =
@@ -555,10 +559,10 @@ TEST_F(StressTest, ConcurrentLineageRecordingAndClosureQueries) {
   });
 
   std::atomic<bool> done{false};
-  ThreadPool pool(kEmbWriters + kModelWriters + kLineageReaders);
+  std::vector<std::thread> threads;
 
   for (int w = 0; w < kEmbWriters; ++w) {
-    pool.Submit([&embeddings, w] {
+    threads.emplace_back([&embeddings, w] {
       const std::string name = "emb_w" + std::to_string(w);
       EmbeddingTableMetadata metadata;
       metadata.name = name;
@@ -571,7 +575,7 @@ TEST_F(StressTest, ConcurrentLineageRecordingAndClosureQueries) {
     });
   }
   for (int w = 0; w < kModelWriters; ++w) {
-    pool.Submit([&models, w] {
+    threads.emplace_back([&models, w] {
       Rng rng(77 + w);
       for (int i = 0; i < kModelsPerWriter; ++i) {
         ModelRecord record;
@@ -586,7 +590,7 @@ TEST_F(StressTest, ConcurrentLineageRecordingAndClosureQueries) {
     });
   }
   for (int r = 0; r < kLineageReaders; ++r) {
-    pool.Submit([&graph, &embeddings, &models, &done, r] {
+    threads.emplace_back([&graph, &embeddings, &models, &done, r] {
       Rng rng(5000 + r);
       for (int i = 0; i < kQueriesPerReader && !done.load(); ++i) {
         const std::string name =
@@ -616,7 +620,7 @@ TEST_F(StressTest, ConcurrentLineageRecordingAndClosureQueries) {
       }
     });
   }
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
   done.store(true);
 
   // Exactly one supersede event per non-initial registration, each heard
@@ -707,10 +711,10 @@ TEST_F(StressTest, ConcurrentPointInTimeJoinRacesAppendBatch) {
   sources[1].prefix = "s1__";
   sources[1].max_age = Hours(24 * 5);
 
-  ThreadPool pool(kJoinWriters + 2);
+  std::vector<std::thread> threads;
   for (int w = 0; w < kJoinWriters; ++w) {
     OfflineTable* table = (w % 2 == 0) ? s0 : s1;
-    pool.Submit([table, source_schema, w] {
+    threads.emplace_back([table, source_schema, w] {
       Rng rng(0xa9 + w);
       for (int b = 0; b < kBatchesPerWriter; ++b) {
         std::vector<Row> batch;
@@ -728,10 +732,10 @@ TEST_F(StressTest, ConcurrentPointInTimeJoinRacesAppendBatch) {
       }
     });
   }
-  // Two reader threads: one serial merge join, one sharded over an
-  // internal pool, both validating every mid-churn result.
+  // Two reader threads: one serial merge join, one sharded over 3
+  // threads, both validating every mid-churn result.
   for (int r = 0; r < 2; ++r) {
-    pool.Submit([&spine, &sources, r] {
+    threads.emplace_back([&spine, &sources, r] {
       JoinOptions options;
       options.max_threads = (r == 0) ? 1 : 3;
       for (int i = 0; i < kJoinsPerReader; ++i) {
@@ -760,7 +764,7 @@ TEST_F(StressTest, ConcurrentPointInTimeJoinRacesAppendBatch) {
       }
     });
   }
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
 
   // Quiesced: the merge engine and the row-at-a-time reference must agree
   // exactly on the final table state.

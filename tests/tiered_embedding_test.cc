@@ -524,36 +524,6 @@ TEST_F(TieredEmbeddingTest, SupersededVersionsGoFullyCold) {
   EXPECT_EQ(stats.resident_tables, 1u);
 }
 
-TEST_F(TieredEmbeddingTest, SupersededBitsDemoteHistoryToCoarserPacking) {
-  const size_t n = 256, dim = 8;
-  EmbeddingTierPolicy policy;
-  policy.memory_budget_bytes = n * dim * sizeof(float);  // Fits one table.
-  policy.spill_dir = dir_;
-  policy.block_rows = 64;
-  policy.bits = 8;
-  policy.superseded_bits = 4;  // History packs twice as tight.
-  EmbeddingStore store(nullptr, policy);
-  ASSERT_TRUE(store.Register(ResidentTable("emb", n, dim, 1), Hours(1)).ok());
-  ASSERT_TRUE(store.Register(ResidentTable("emb", n, dim, 2), Hours(2)).ok());
-
-  // v1 was resident when superseded: demoted straight to 4-bit codes.
-  auto v1 = store.GetVersion("emb", 1).value();
-  ASSERT_TRUE(v1->tiered());
-  EXPECT_EQ(v1->tier()->bits(), 4);
-  EXPECT_EQ(v1->tier()->hot_blocks(), 0u);
-  EXPECT_FALSE(store.GetVersion("emb", 2).value()->tiered());
-  // Coarser codes still serve every row.
-  for (size_t i = 0; i < n; i += 17) {
-    EXPECT_TRUE(v1->Get("k" + std::to_string(i)).ok());
-  }
-
-  // v2 becomes history in turn; v1, already tiered, keeps its packing
-  // (no second quantization pass).
-  ASSERT_TRUE(store.Register(ResidentTable("emb", n, dim, 3), Hours(3)).ok());
-  EXPECT_EQ(store.GetVersion("emb", 2).value()->tier()->bits(), 4);
-  EXPECT_EQ(store.GetVersion("emb", 1).value()->tier()->bits(), 4);
-}
-
 TEST_F(TieredEmbeddingTest, TieredBruteMatchesResidentBruteBitwise) {
   struct Case {
     const char* name;
